@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import io
 import json
-import resource
 import shutil
 import statistics
 import subprocess
@@ -32,7 +31,7 @@ import sys
 import tempfile
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,8 +57,7 @@ class Workload:
     slices: int  # a round's explains are cut into this many slices ...
     saves: int  # ... and these save_model + load_model pairs,
     cli_calls: int  # `tweakboost explain` processes and
-    verify_calls: int  # in-process verify calls are spread over them
-    verify_rows: int  # rows per verify call
+    verify_calls: int  # in-process verify calls (one row each) are spread over them
     acc_floor: float  # training accuracy the checker requires
 
 
@@ -67,22 +65,28 @@ class Workload:
 # so rounds are short and each kind of operation is spread over the whole
 # run: a metric then samples many moments of the run instead of a few.
 WORKLOADS = {w.name: w for w in [
-    Workload("explain-demo", 600, 8, 100, 4, "none", 12, 2, 2, 1, 1, 1, 0.95),
-    Workload("train-6k", 6000, 8, 100, 4, "none", 60, 3, 3, 2, 3, 1, 0.85),
-    Workload("deep-pruned", 600, 8, 100, 6, "both:0.8,5,0.5", 34, 3, 3, 2, 2, 1, 0.95),
-    Workload("verify-2d", 400, 2, 50, 3, "none", 12, 3, 3, 1, 3, 1, 0.9),
+    Workload("explain-demo", 600, 8, 100, 4, "none", 12, 2, 2, 1, 1, 0.95),
+    Workload("train-6k", 6000, 8, 100, 4, "none", 60, 3, 3, 2, 3, 0.85),
+    Workload("deep-pruned", 600, 8, 100, 6, "both:0.8,5,0.5", 34, 3, 3, 2, 2, 0.95),
+    Workload("verify-2d", 400, 2, 50, 3, "none", 12, 3, 3, 1, 3, 0.9),
 ]}
 
 # Training data are fixed (the demo generator's own seed, i.e. the shipped
 # --demo data at 600 rows); the run's seed picks the rows that are explained
-# and verified. Across generator seeds the models differ enough to move
-# explain p50 by about 15% and the verify grid between 6k and 25k points.
+# after the first QUALITY_ROWS. Across generator seeds the models differ
+# enough to move explain p50 by about 15% and the verify grid between 6k and
+# 25k points.
 DATA_SEED = 7
+# Every run explains the same QUALITY_ROWS rows first (an order drawn with
+# DATA_SEED), and cf_distance_mean averages over them alone: training is
+# deterministic, so the metric then reads the same in every run and moves
+# only when the explanations do, not with the seed or with how many rounds fit.
+QUALITY_ROWS = 100
 VERIFY_DATA = (400, 50, 3)  # rows, K, depth of the 2-feature verify model
 PROBE_ROWS = 4  # rows the 8-feature workloads verify, in turn
 CERT_SPEC = "alpha-mass:0.8"  # certificate check where the workload does not prune
 EPS_FLAGS = ["--epsilon-mode", "range_scaled", "--epsilon", "0.01", "--norm", "L2_std"]
-MIN_TAIL_ROWS = 100  # explained rows per run, so that ten lie beyond the 90th percentile
+MIN_TAIL_ROWS = QUALITY_ROWS  # explained rows per run; ten then lie beyond the 90th percentile
 SETUP_REPEATS = 3
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import tweakboost.cli; "
                 "print(time.perf_counter() - t)")
@@ -100,6 +104,12 @@ def two_feature_data(tb, n_rows: int, seed: int):
     rule = np.tanh((X[:, 0] - 50.0) / 10.0) + 0.8 * np.sin(X[:, 1]) - 0.1 > 0
     flip = np.random.default_rng(seed).random(n_rows) < 0.1
     return tb.make_dataset(X, np.where(rule != flip, 1, -1), ["f0", "f3"])
+
+
+def workload_data(tb, wl: Workload):
+    if wl.n_features == 8:
+        return tb.make_demo_dataset(n_rows=wl.n_rows, seed=DATA_SEED)
+    return two_feature_data(tb, wl.n_rows, DATA_SEED)
 
 
 def select_kprime(tb, e, spec: tuple[str, dict], row: int) -> int | None:
@@ -146,15 +156,16 @@ class Run:
         self.verify_csv = os.path.join(workdir, "verify.csv")
         self.attempted = self.failed = self.wrong = 0
         self.times: dict[str, list[float]] = defaultdict(list)
-        self.verified: list[tuple[int, float]] = []
-        self.verify_calls = 0
-        self.distances: list[float] = []
+        self.verified: list[float] = []  # seconds per one-row verify call
+        self.distances: dict[int, float] = {}  # quality row -> counterfactual distance
         self.kprimes: list[int] = []
         self.fired: list[bool] = []
         self.import_s: list[float] = []
-        self.rows = None  # explain rows (permuted), fixed after the first model check
+        self.rows = None  # explain rows in order, fixed after the first model check
+        self.quality_rows: set[int] = set()
         self.checker = None
         self.trajectory_bytes = 0
+        self.peak_rss_mb = 0.0
 
     # -- bookkeeping
 
@@ -187,10 +198,7 @@ class Run:
 
     def generate_inputs(self):
         tb, wl = self.tb, self.wl
-        if wl.n_features == 8:
-            ds = tb.make_demo_dataset(n_rows=wl.n_rows, seed=DATA_SEED)
-        else:
-            ds = two_feature_data(tb, wl.n_rows, DATA_SEED)
+        ds = workload_data(tb, wl)
         tb.save_csv(ds, self.csv)
         if wl.n_features == 2:
             return ds, ds, None
@@ -292,7 +300,10 @@ class Run:
         self.trajectory_bytes = len(json.dumps(doc["trajectories"]))
         self.checker = ModelChecker(doc)
         if self.rows is None:
-            self.rows = self.eligible_rows(self.checker, self.ds, self.seed)
+            fixed = self.eligible_rows(self.checker, self.ds, DATA_SEED)
+            rest = np.random.default_rng(self.seed).permutation(fixed[QUALITY_ROWS:])
+            self.rows = np.concatenate([fixed[:QUALITY_ROWS], rest])
+            self.quality_rows = set(fixed[:QUALITY_ROWS].tolist())
             if self.verify_rows is None:
                 self.verify_rows = self.rows
         self.check(self.checker.check_training(self.ds.rows, self.ds.labels, self.wl.acc_floor))
@@ -327,7 +338,8 @@ class Run:
         if hasattr(res, "transformed"):
             problems += self.checker.check_counterfactual(
                 x, res.transformed, res.source_tree, res.source_path, res.delta, res.distance)
-            self.distances.append(res.distance)
+            if i in self.quality_rows:
+                self.distances[i] = res.distance
         if kp is not None:
             problems += self.checker.check_certificate(x, kp, cert)
             self.kprimes.append(kp)
@@ -387,36 +399,44 @@ class Run:
             self.check(self.compare_cli(json.load(fh), lib))
 
     def verify_op(self) -> None:
-        n = self.wl.verify_rows
-        start = self.verify_calls * n
-        self.verify_calls += 1
-        pick = [int(self.verify_rows[(start + j) % len(self.verify_rows)]) for j in range(n)]
+        """verify of one row, the next of verify_rows in turn."""
+        i = int(self.verify_rows[len(self.verified) % len(self.verify_rows)])
         vds = self.vds
-        self.tb.save_csv(self.tb.data.Dataset(rows=vds.rows[pick], labels=vds.labels[pick],
+        self.tb.save_csv(self.tb.data.Dataset(rows=vds.rows[[i]], labels=vds.labels[[i]],
                                               schema=vds.schema), self.verify_csv)
         out = os.path.join(self.workdir, "verify-out.csv")
         argv = ["verify", "--model", self.verify_model, "--data", self.verify_csv,
-                "--n-instances", str(n), *EPS_FLAGS, "--out", out]
+                *EPS_FLAGS, "--out", out]
         with contextlib.redirect_stdout(io.StringIO()):
             code, dt = self.timed("verify", self.tb.cli.main, argv)
         if code != 0:
             raise RuntimeError(f"verify returned {code}")
-        self.verified.append((n, dt))
+        self.verified.append(dt)
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
         problems = check_verify_csv(text)
         n_rows = sum(1 for ln in text.splitlines() if ln[:1].isdigit())
-        if n_rows != n:
-            problems.append(f"verify reported {n_rows} rows, asked for {n}")
+        if n_rows != 1:
+            problems.append(f"verify reported {n_rows} rows for one")
         self.check(problems)
+
+    def rss_probe(self) -> None:
+        """Peak resident set of a fresh process that trains, saves, loads and
+        explains as this workload does (bench/rss_probe.py), so that the
+        figure covers the library and not this process's checks."""
+        cmd = [sys.executable, os.path.join(BENCH_DIR, "rss_probe.py"),
+               json.dumps(asdict(self.wl)), os.path.join(self.workdir, "probe.json")]
+        out = subprocess.run(cmd, env=self.env, capture_output=True, text=True, timeout=120)
+        if out.returncode != 0:
+            raise RuntimeError(f"rss probe exit {out.returncode}: {out.stderr.strip()[-300:]}")
+        self.peak_rss_mb = float(out.stdout)
 
     # -- metrics
 
     def end_to_end(self, setup_s: float) -> dict[str, tuple[float, str]]:
         t = self.times
         explain_ms = t["explain_ms"]
-        v_rows = sum(n for n, _ in self.verified)
-        v_time = sum(dt for _, dt in self.verified)
+        v_time = sum(self.verified)
         return {
             "setup_s": (setup_s, "s"),
             "train_s": (_median(t["train_s"]), "s"),
@@ -430,10 +450,10 @@ class Run:
             "explain_p90_ms": (statistics.quantiles(explain_ms, n=10)[8]
                                if len(explain_ms) >= 2 else 0.0, "ms"),
             "cli_explain_s": (_median(t["cli_explain_s"]), "s"),
-            "verify_rows_per_s": (v_rows / v_time if v_time else 0.0, "1/s"),
-            "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
-            "cf_distance_mean": (statistics.fmean(self.distances) if self.distances else 0.0,
-                                 "std"),
+            "verify_rows_per_s": (len(self.verified) / v_time if v_time else 0.0, "1/s"),
+            "peak_rss_mb": (self.peak_rss_mb, "MB"),
+            "cf_distance_mean": (statistics.fmean(self.distances.values())
+                                 if self.distances else 0.0, "std"),
         }
 
     def per_layer(self) -> dict[str, tuple[float, str]]:
@@ -454,7 +474,7 @@ class Run:
             return x / n if n else 0.0
 
         train, rows = n_ops["train"], n_ops["explain"]
-        vrows = sum(n for n, _ in self.verified)
+        vrows = len(self.verified)
         inproc = n_ops["cli_inproc"]
         select = sum(total(f"prune.{f}", "explain", "certificate") for f in
                      ("select_kprime_alpha_mass", "select_kprime_trajectory", "combine_reports"))
@@ -520,6 +540,8 @@ def run_workload(tb, wl: Workload, seed: int, seconds: float, trace: bool,
         while r == 0 or time.perf_counter() - start < seconds or 0 < explained < min_rows:
             explained += run.run_round(r)
             r += 1
+        with run.op("rss probe"):
+            run.rss_probe()
         e2e = run.end_to_end(setup_s)
         metrics = e2e
         if tracer is not None:

@@ -20,7 +20,7 @@ def tiny(name):
     wl = run.WORKLOADS[name]
     return dataclasses.replace(wl, n_rows=150 if wl.n_features == 8 else wl.n_rows, K=8,
                                depth=min(wl.depth, 3), rows=2, slices=2, saves=1,
-                               cli_calls=1, verify_calls=1, verify_rows=1, acc_floor=0.0)
+                               cli_calls=1, verify_calls=1, acc_floor=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +53,9 @@ def test_traced_run_reports_every_layer_metric(tb):
     # the wrappers are gone again
     assert tb.tweak.distance.__module__ == "tweakboost.tweak"
     assert not hasattr(tb.tweak.distance, "__wrapped__")
+
+
+def test_cf_distance_mean_does_not_depend_on_the_seed(tb):
+    a, b = (run.run_workload(tb, tiny("explain-demo"), seed=s, seconds=0, trace=False,
+                             min_rows=1)["metrics"]["cf_distance_mean"] for s in (1, 2))
+    assert a == b
