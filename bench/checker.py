@@ -57,9 +57,13 @@ class ModelChecker:
     """Reference evaluator built from a parsed model document."""
 
     def __init__(self, doc: dict):
-        self.doc = doc
         self.trees = doc["trees"]
         self.alphas = [float(a) for a in doc["alphas"]]
+        self.staged_errors = [float(e) for e in doc["staged_errors"]]
+        # An array, not the parsed lists: long-lived lists of every training
+        # weight would slow each full garbage collection of the process that
+        # holds the checker, timed library calls included.
+        self.trajectories = np.array(doc["trajectories"], dtype=np.float64)
         sd = np.array([float(s["stddev"]) for s in doc["schema"]])
         self.used = sd != 0.0
         self.sd = sd[self.used]
@@ -88,13 +92,13 @@ class ModelChecker:
         """Stage weights, staged errors, trajectory rows and accuracy."""
         problems = []
         signs = self.tree_signs(X)
-        traj = self.doc["trajectories"]
-        for k, (a, err) in enumerate(zip(self.alphas, self.doc["staged_errors"])):
+        traj = self.trajectories
+        for k, (a, err) in enumerate(zip(self.alphas, self.staged_errors)):
             e = min(max(err, ERR_CLAMP), 1.0 - ERR_CLAMP)
             want = math.log((1.0 - e) / e)
             if abs(a - want) > 1e-12 * abs(want):
                 problems.append(f"alpha[{k}]={a!r}, log((1-err)/err)={want!r}")
-            miss_mass = math.fsum(np.asarray(traj[k])[signs[k] != y])
+            miss_mass = math.fsum(traj[k][signs[k] != y])
             if abs(miss_mass - err) > TRAJECTORY_ATOL:
                 problems.append(f"staged error[{k}]={err!r}, weighted misses {miss_mass!r}")
         for k, row in enumerate(traj):

@@ -19,7 +19,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from run import DATA_SEED, WORKLOADS, import_library, two_feature_data  # noqa: E402
+from run import DATA_SEED, WORKLOADS, import_library  # noqa: E402
 
 
 def timed(fn, *args, **kwargs):
@@ -74,10 +74,7 @@ def main() -> int:
     print("\nStored trajectories in each workload's model:\n")
     print("| workload | model bytes | trajectory bytes | share |\n|---|---|---|---|")
     for wl in WORKLOADS.values():
-        if wl.n_features == 8:
-            ds = tb.make_demo_dataset(n_rows=wl.n_rows, seed=DATA_SEED)
-        else:
-            ds = two_feature_data(tb, wl.n_rows, DATA_SEED)
+        ds = tb.make_demo_dataset(n_rows=wl.n_rows, seed=DATA_SEED)
         doc = tb.model_to_dict(tb.train_adaboost(ds, K=wl.K, max_depth=wl.depth))
         total = len(json.dumps(doc))
         traj = len(json.dumps(doc["trajectories"]))

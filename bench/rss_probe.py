@@ -13,7 +13,6 @@ benchmark's own checks.
 from __future__ import annotations
 
 import json
-import resource
 import sys
 
 import run
@@ -34,8 +33,19 @@ def main(argv: list[str]) -> int:
     for i in range(EXPLAIN_ROWS):
         kp = run.select_kprime(tb, model, spec, i)
         tb.explain(model, ds.rows[i], eps, norm="L2_std", k_prime=kp)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    print(peak_rss_kb() / 1024)
     return 0
+
+
+def peak_rss_kb() -> float:
+    """This process's own peak resident set. ru_maxrss would not do: Linux
+    carries it across exec, so a process started by a larger one reports at
+    least its parent's peak at the moment of the fork."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return float(line.split()[1])
+    raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
 if __name__ == "__main__":

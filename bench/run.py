@@ -22,7 +22,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import shutil
 import statistics
@@ -49,26 +51,24 @@ from tracing import Tracer  # noqa: E402
 class Workload:
     name: str
     n_rows: int
-    n_features: int  # 8: the demo generator; 2: two_feature_data
     K: int
     depth: int
     prune: str  # --prune spec, given alike to the library and the CLI
     rows: int  # library explains per round
     slices: int  # a round's explains are cut into this many slices ...
     saves: int  # ... and these save_model + load_model pairs,
-    cli_calls: int  # `tweakboost explain` processes and
-    verify_calls: int  # in-process verify calls (one row each) are spread over them
+    cli_calls: int  # `tweakboost explain` processes and VERIFY_ROWS verify calls are spread over them
     acc_floor: float  # training accuracy the checker requires
 
 
 # On a shared 2-core host the CPU speed swings by a quarter within seconds,
 # so rounds are short and each kind of operation is spread over the whole
 # run: a metric then samples many moments of the run instead of a few.
+# A round of explain-demo takes about 4 s, of train-6k 12 s, of deep-pruned 8 s.
 WORKLOADS = {w.name: w for w in [
-    Workload("explain-demo", 600, 8, 100, 4, "none", 12, 2, 2, 1, 1, 0.95),
-    Workload("train-6k", 6000, 8, 100, 4, "none", 60, 3, 3, 2, 3, 0.85),
-    Workload("deep-pruned", 600, 8, 100, 6, "both:0.8,5,0.5", 34, 3, 3, 2, 2, 0.95),
-    Workload("verify-2d", 400, 2, 50, 3, "none", 12, 3, 3, 1, 3, 0.9),
+    Workload("explain-demo", 600, 100, 4, "none", 30, 3, 2, 2, 0.95),
+    Workload("train-6k", 6000, 100, 4, "none", 45, 2, 2, 2, 0.85),
+    Workload("deep-pruned", 600, 100, 6, "both:0.8,5,0.5", 25, 2, 2, 1, 0.95),
 ]}
 
 # Training data are fixed (the demo generator's own seed, i.e. the shipped
@@ -83,11 +83,11 @@ DATA_SEED = 7
 # only when the explanations do, not with the seed or with how many rounds fit.
 QUALITY_ROWS = 100
 VERIFY_DATA = (400, 50, 3)  # rows, K, depth of the 2-feature verify model
-PROBE_ROWS = 4  # rows the 8-feature workloads verify, in turn
+VERIFY_ROWS = 2  # rows of the verify model; every round verifies each once, one per call
 CERT_SPEC = "alpha-mass:0.8"  # certificate check where the workload does not prune
 EPS_FLAGS = ["--epsilon-mode", "range_scaled", "--epsilon", "0.01", "--norm", "L2_std"]
 MIN_TAIL_ROWS = QUALITY_ROWS  # explained rows per run; ten then lie beyond the 90th percentile
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import tweakboost.cli; "
                 "print(time.perf_counter() - t)")
 
@@ -107,9 +107,7 @@ def two_feature_data(tb, n_rows: int, seed: int):
 
 
 def workload_data(tb, wl: Workload):
-    if wl.n_features == 8:
-        return tb.make_demo_dataset(n_rows=wl.n_rows, seed=DATA_SEED)
-    return two_feature_data(tb, wl.n_rows, DATA_SEED)
+    return tb.make_demo_dataset(n_rows=wl.n_rows, seed=DATA_SEED)
 
 
 def select_kprime(tb, e, spec: tuple[str, dict], row: int) -> int | None:
@@ -129,6 +127,11 @@ def spread(count: int, slices: int) -> list[int]:
     for i in range(count):
         per[i * slices // count] += 1
     return per
+
+
+def file_digest(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).digest()
 
 
 def child_env() -> dict:
@@ -164,6 +167,7 @@ class Run:
         self.rows = None  # explain rows in order, fixed after the first model check
         self.quality_rows: set[int] = set()
         self.checker = None
+        self.model_digest = None  # of the run's first saved model, once it passed its checks
         self.trajectory_bytes = 0
         self.peak_rss_mb = 0.0
 
@@ -200,8 +204,6 @@ class Run:
         tb, wl = self.tb, self.wl
         ds = workload_data(tb, wl)
         tb.save_csv(ds, self.csv)
-        if wl.n_features == 2:
-            return ds, ds, None
         n, K, depth = VERIFY_DATA
         vds = two_feature_data(tb, n, DATA_SEED)
         vpath = os.path.join(self.workdir, "verify-model.json")
@@ -220,15 +222,12 @@ class Run:
             self.import_s.append(float(out.stdout))
             inputs, dt = self.timed("setup", self.generate_inputs)
             totals.append(wall + dt)
-        self.ds, self.vds, vpath = inputs
-        self.verify_model = vpath or self.model_path
-        self.verify_rows = None
-        if vpath is not None:
-            # The few probe rows are the same in every run, so that which
-            # rows they are does not move verify_rows_per_s with the seed.
-            with open(vpath, encoding="utf-8") as fh:
-                self.verify_rows = self.eligible_rows(ModelChecker(json.load(fh)), self.vds,
-                                                      seed=DATA_SEED)[:PROBE_ROWS]
+        self.ds, self.vds, self.verify_model = inputs
+        # The verified rows are the same in every run, so that which rows
+        # they are does not move verify_rows_per_s with the seed.
+        with open(self.verify_model, encoding="utf-8") as fh:
+            self.verify_rows = self.eligible_rows(ModelChecker(json.load(fh)), self.vds,
+                                                  seed=DATA_SEED)[:VERIFY_ROWS]
         return _median(totals)
 
     @staticmethod
@@ -251,11 +250,12 @@ class Run:
         argv = ["explain", "--model", self.model_path, "--data", self.csv, *EPS_FLAGS,
                 "--prune", wl.prune]
         saves, clis, verifies = (spread(n, wl.slices)
-                                 for n in (wl.saves, wl.cli_calls, wl.verify_calls))
+                                 for n in (wl.saves, wl.cli_calls, VERIFY_ROWS))
+        pending = iter(self.verify_rows.tolist())
         for s in range(wl.slices):
-            for k in range(saves[s]):
-                self.save_load(model, first=s == 0 and k == 0)
-            if s == 0:  # the first check of the first round picks the rows
+            for _ in range(saves[s]):
+                self.save_load(model)
+            if s == 0:  # the run's first save picks the rows
                 rows = [] if self.rows is None else [
                     int(self.rows[(r * wl.rows + j) % len(self.rows)]) for j in range(wl.rows)]
                 chunks = np.array_split(np.array(rows, dtype=int), wl.slices)
@@ -275,18 +275,22 @@ class Run:
                 for i in last:
                     with self.op("in-process cli explain"):
                         self.cli_inproc_op(argv + ["--row", str(i)], library.get(i))
-            for _ in range(verifies[s]):
+            for i in itertools.islice(pending, verifies[s]):
                 with self.op("verify"):
-                    self.verify_op()
+                    self.verify_op(i)
         return len(rows)
 
-    def save_load(self, model, first: bool) -> None:
-        """The round's first pair also checks the training and the bytes."""
+    def save_load(self, model) -> None:
+        """The run's first save and load are checked in full. Training is
+        deterministic, so every later save must write the same bytes."""
+        first = self.model_digest is None
         with self.op("save"):
             _, dt = self.timed("save", self.tb.save_model, model, self.model_path)
             self.times["model_save_s"].append(dt)
             if first:
                 self.check_model()
+            elif file_digest(self.model_path) != self.model_digest:
+                raise CheckFailed("saved bytes differ from the run's first, checked model")
         with self.op("load"):
             loaded, dt = self.timed("load", self.tb.load_model, self.model_path)
             self.times["model_load_s"].append(dt)
@@ -294,9 +298,9 @@ class Run:
 
     def check_model(self) -> None:
         """Training checks, on the JSON just saved."""
-        with open(self.model_path, encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
+        with open(self.model_path, "rb") as fh:
+            data = fh.read()
+        doc = json.loads(data)
         self.trajectory_bytes = len(json.dumps(doc["trajectories"]))
         self.checker = ModelChecker(doc)
         if self.rows is None:
@@ -304,16 +308,15 @@ class Run:
             rest = np.random.default_rng(self.seed).permutation(fixed[QUALITY_ROWS:])
             self.rows = np.concatenate([fixed[:QUALITY_ROWS], rest])
             self.quality_rows = set(fixed[:QUALITY_ROWS].tolist())
-            if self.verify_rows is None:
-                self.verify_rows = self.rows
         self.check(self.checker.check_training(self.ds.rows, self.ds.labels, self.wl.acc_floor))
+        self.model_digest = hashlib.sha256(data).digest()
 
     def check_loaded(self, loaded, model, reserialise: bool) -> None:
         problems = []
         if reserialise:
-            with open(self.model_path, encoding="utf-8") as fh:
-                if json.dumps(self.tb.model_to_dict(loaded)) != fh.read():
-                    problems.append("loaded model does not re-serialise to the saved bytes")
+            text = json.dumps(self.tb.model_to_dict(loaded))
+            if hashlib.sha256(text.encode("utf-8")).digest() != file_digest(self.model_path):
+                problems.append("loaded model does not re-serialise to the saved bytes")
         margins = self.tb.ensemble_margins(loaded, self.ds.rows)
         if not np.array_equal(margins, self.tb.ensemble_margins(model, self.ds.rows)):
             problems.append("loaded and trained models give different margins")
@@ -398,9 +401,8 @@ class Run:
         with open(out, encoding="utf-8") as fh:
             self.check(self.compare_cli(json.load(fh), lib))
 
-    def verify_op(self) -> None:
-        """verify of one row, the next of verify_rows in turn."""
-        i = int(self.verify_rows[len(self.verified) % len(self.verify_rows)])
+    def verify_op(self, i: int) -> None:
+        """verify of row i of the verify model."""
         vds = self.vds
         self.tb.save_csv(self.tb.data.Dataset(rows=vds.rows[[i]], labels=vds.labels[[i]],
                                               schema=vds.schema), self.verify_csv)

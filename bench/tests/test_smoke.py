@@ -18,9 +18,9 @@ with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json"), encoding="utf-
 
 def tiny(name):
     wl = run.WORKLOADS[name]
-    return dataclasses.replace(wl, n_rows=150 if wl.n_features == 8 else wl.n_rows, K=8,
+    return dataclasses.replace(wl, n_rows=150, K=8,
                                depth=min(wl.depth, 3), rows=2, slices=2, saves=1,
-                               cli_calls=1, verify_calls=1, acc_floor=0.0)
+                               cli_calls=1, acc_floor=0.0)
 
 
 @pytest.fixture(scope="module")
