@@ -40,8 +40,6 @@ from .data import (
     DataError,
     Dataset,
     FeatureSchema,
-    FeatureStat,
-    Instance,
     compute_schema,
     load_csv,
     make_dataset,
@@ -49,7 +47,6 @@ from .data import (
     parse_label_map,
     save_csv,
     split,
-    standardize_distance_stats,
 )
 from .prune import (
     PruneReport,
@@ -103,8 +100,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "FeatureSchema",
-    "FeatureStat",
-    "Instance",
     "compute_schema",
     "load_csv",
     "make_dataset",
@@ -112,7 +107,6 @@ __all__ = [
     "parse_label_map",
     "save_csv",
     "split",
-    "standardize_distance_stats",
     "PruneReport",
     "agreement_rate",
     "combine_reports",

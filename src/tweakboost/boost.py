@@ -7,6 +7,7 @@ trajectory matrix (row 0 is the uniform w_0).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import Tree, apply_tree, fit_tree, predict_tree, tree_from_dict, tree_to_dict
-from .data import Dataset, FeatureSchema
+from .cart import FlatTrees, Tree, apply_tree, fit_tree, flatten, tree_from_dict, tree_to_dict
+from .data import Dataset, FeatureSchema, write_text_atomic
 from . import cart
 
 log = logging.getLogger(__name__)
@@ -44,6 +45,9 @@ __all__ = [
 ERR_CLAMP = 1e-10
 
 MODEL_VERSION = "tweakboost-model/1"
+
+# rows * trees per step of ensemble_margins: bounds its (trees, rows) arrays
+_MARGIN_CELLS = 1 << 16
 
 
 @dataclass
@@ -78,8 +82,15 @@ class Ensemble:
             )
         if not np.all(np.abs(self.trajectories.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("every trajectory row must sum to 1")
-        if not np.all(np.isfinite(self.alphas)):
-            raise ValueError("alphas must be finite")
+        if not np.all(np.isfinite(self.alphas) & (self.alphas > 0)):
+            raise ValueError("alphas must be finite and positive")
+
+    @functools.cached_property
+    def flat(self) -> FlatTrees:
+        """The trees compiled into flat arrays, which every evaluation
+        reads. Built on first use, not at load, and cached, so the trees
+        must not change after that."""
+        return flatten(self.trees, self.n_features)
 
     @property
     def k(self) -> int:
@@ -181,45 +192,43 @@ def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0,
     )
 
 
-def _margin(e: Ensemble, values: np.ndarray, upto: int) -> float:
-    total = 0.0
-    for k in range(upto):
-        total += e.alphas[k] * predict_tree(e.trees[k], values)
-    return total
-
-
 def predict_ensemble(e: Ensemble, x, upto: int | None = None) -> tuple[int, float]:
     """Weighted-vote prediction and its margin sum(alpha_k * h_k(x)).
 
     A zero margin resolves to -1 (documented tie rule, mirroring the leaf
     rule). upto restricts the vote to the first `upto` trees.
     """
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     if upto is None:
         upto = e.k
     elif not 1 <= upto <= e.k:
         raise ValueError(f"upto must be in [1, {e.k}], got {upto}")
-    m = _margin(e, values, upto)
+    m = ensemble_margins(e, values[None, :], upto)[0]
     return (1 if m > 0 else -1), m
 
 
 def ensemble_margins(e: Ensemble, X: np.ndarray, upto: int | None = None) -> np.ndarray:
-    """Vectorized margins for a matrix of instances."""
+    """Vectorized margins for a matrix of instances, summed in tree order
+    from 0.0, over row blocks so that memory stays flat in the row count."""
     X = np.asarray(X, dtype=np.float64)
     if upto is None:
         upto = e.k
     m = np.zeros(X.shape[0])
-    for k in range(upto):
-        m += e.alphas[k] * apply_tree(e.trees[k], X)
+    step = max(1, _MARGIN_CELLS // max(upto, 1))
+    for start in range(0, X.shape[0], step):
+        signs = e.flat.signs(X[start:start + step], upto)
+        block = m[start:start + step]
+        for k in range(upto):
+            block += e.alphas[k] * signs[k]
     return m
 
 
 def staged_predictions(e: Ensemble, x) -> np.ndarray:
     """Per-tree prediction h_k(x) for every round, length K."""
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
-    return np.array([predict_tree(t, values) for t in e.trees], dtype=np.int64)
+    return e.flat.signs(values[None, :])[:, 0]
 
 
 def weight_trajectory(e: Ensemble, i: int) -> np.ndarray:
@@ -260,6 +269,9 @@ def model_to_dict(e: Ensemble) -> dict:
 
 
 def model_from_dict(d: dict) -> Ensemble:
+    """Inverse of model_to_dict. A malformed or inconsistent model (tree
+    nodes outside the schema's features, non-finite thresholds, leaf signs
+    other than +-1, non-positive stage weights) raises ValueError."""
     version = d.get("version")
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version!r}, expected {MODEL_VERSION!r}")
@@ -276,7 +288,7 @@ def model_from_dict(d: dict) -> Ensemble:
         for s in d["schema"]
     ]
     return Ensemble(
-        trees=[tree_from_dict(t) for t in d["trees"]],
+        trees=[tree_from_dict(t, len(schema)) for t in d["trees"]],
         alphas=np.array(d["alphas"], dtype=np.float64),
         trajectories=np.array(d["trajectories"], dtype=np.float64),
         staged_errors=np.array(d["staged_errors"], dtype=np.float64),
@@ -286,12 +298,8 @@ def model_from_dict(d: dict) -> Ensemble:
 
 
 def save_model(e: Ensemble, path: str | os.PathLike) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    text = json.dumps(model_to_dict(e))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Atomic write (data.write_text_atomic) of the JSON form."""
+    write_text_atomic(path, json.dumps(model_to_dict(e)))
 
 
 def load_model(path: str | os.PathLike) -> Ensemble:

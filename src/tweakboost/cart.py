@@ -1,18 +1,26 @@
-"""Weighted binary CART trees with exhaustive root-to-leaf path enumeration.
+"""Weighted binary CART trees, and their flat form.
 
 Routing rule (fixed, global): an instance goes LEFT iff value <= threshold.
 Candidate thresholds are midpoints between consecutive distinct sorted
 feature values; impurity ties break toward (lower feature index, lower
 threshold); a leaf with equal weighted class mass predicts -1.
+
+fit_tree builds node objects, which the JSON form round-trips. Every
+evaluation reads the flat form instead (flatten): padded per-tree node
+arrays that route many rows through many trees in depth numpy steps, and a
+leaf-box table that holds each leaf's root-to-leaf path as per-feature
+intervals. predict_tree, enumerate_paths and path_to_box walk the node
+objects and serve as references for the flat form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Instance
+from .data import Dataset
 
 __all__ = [
     "Leaf",
@@ -21,7 +29,9 @@ __all__ = [
     "PathCondition",
     "Path",
     "FeasibleBox",
+    "FlatTrees",
     "fit_tree",
+    "flatten",
     "predict_tree",
     "apply_tree",
     "enumerate_paths",
@@ -102,12 +112,6 @@ class FeasibleBox:
 
     def contains(self, values: np.ndarray) -> bool:
         return bool(np.all(values > self.lower) and np.all(values <= self.upper))
-
-
-def _values_of(x) -> np.ndarray:
-    if isinstance(x, Instance):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
 
 
 def _leaf(pos: float, neg: float) -> Leaf:
@@ -208,28 +212,111 @@ def fit_tree(ds: Dataset, sample_weights, max_depth: int,
 
 def predict_tree(t: Tree, x) -> int:
     """Route one instance to its leaf sign. Boundary values go LEFT."""
-    v = _values_of(x)
+    v = np.asarray(x, dtype=np.float64)
     node = t.root
     while isinstance(node, Internal):
         node = node.left if v[node.feature] <= node.threshold else node.right
     return node.sign
 
 
+@dataclass(frozen=True, eq=False)
+class FlatTrees:
+    """Trees as flat arrays.
+
+    Node arrays are (K, W), padded to the widest tree; left/right hold
+    tree-local node ids. A leaf has feature -1, threshold NaN (so routing
+    goes right) and itself as both children, so extra routing steps stay
+    put. sign is the leaf sign, 0 at internal nodes.
+
+    The leaf-box table has one row per leaf, in tree order and left-to-right
+    leaf order within a tree: the leaf's path as the box (lower, upper] per
+    feature, its sign, tree, feasibility (lower < upper everywhere) and
+    path_index, its index among the tree's leaves of the same sign.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sign: np.ndarray
+    depth: int
+    lower: np.ndarray
+    upper: np.ndarray
+    leaf_sign: np.ndarray
+    tree: np.ndarray
+    feasible: np.ndarray
+    path_index: np.ndarray
+
+    def signs(self, X: np.ndarray, upto: int | None = None) -> np.ndarray:
+        """(upto, n) leaf signs of the first `upto` trees (all by default)
+        for the n rows of X, in `depth` steps over all trees at once."""
+        k = self.feature.shape[0] if upto is None else upto
+        feature, threshold = self.feature.ravel(), self.threshold.ravel()
+        left, right = self.left.ravel(), self.right.ravel()
+        rows = np.arange(X.shape[0])
+        base = np.arange(k)[:, None] * self.feature.shape[1]
+        node = np.zeros((k, X.shape[0]), dtype=np.int64)
+        for _ in range(self.depth):
+            at = base + node
+            node = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        return self.sign.ravel()[base + node]
+
+
+def flatten(trees: list[Tree], n_features: int) -> FlatTrees:
+    """Compile trees into FlatTrees, one iterative preorder walk per tree."""
+    nodes, boxes, depth = [], [], 0
+    for k, t in enumerate(trees):
+        feat, thr, left, right, sign = cols = ([], [], [], [], [])
+        n_paths = {-1: 0, 1: 0}
+        stack = [(t.root, None, 0, np.full(n_features, -np.inf), np.full(n_features, np.inf), 0)]
+        while stack:  # the left child is popped first, so leaves come left to right
+            node, side, parent, lo, hi, d = stack.pop()
+            j = len(feat)
+            if side is not None:
+                side[parent] = j
+            left.append(j)
+            right.append(j)
+            depth = max(depth, d)
+            if isinstance(node, Leaf):
+                feat.append(-1)
+                thr.append(math.nan)
+                sign.append(node.sign)
+                boxes.append((lo, hi, node.sign, k, not np.any(lo >= hi), n_paths[node.sign]))
+                n_paths[node.sign] += 1
+                continue
+            f = node.feature
+            feat.append(f)
+            thr.append(node.threshold)
+            sign.append(0)
+            lo_right, hi_left = lo.copy(), hi.copy()
+            lo_right[f] = max(lo[f], node.threshold)
+            hi_left[f] = min(hi[f], node.threshold)
+            stack.append((node.right, right, j, lo_right, hi, d + 1))
+            stack.append((node.left, left, j, lo, hi_left, d + 1))
+        nodes.append(cols)
+    width = max((len(cols[0]) for cols in nodes), default=1)
+    arrays = [np.full((len(trees), width), fill, dtype=type(fill))
+              for fill in (-1, math.nan, 0, 0, 0)]
+    for k, cols in enumerate(nodes):
+        for a, col in zip(arrays, cols):
+            a[k, :len(col)] = col
+    lo, hi, leaf_sign, tree, feasible, path = zip(*boxes) if boxes else ((),) * 6
+    return FlatTrees(
+        *arrays, depth,
+        lower=np.array(lo, dtype=np.float64).reshape(len(boxes), n_features),
+        upper=np.array(hi, dtype=np.float64).reshape(len(boxes), n_features),
+        leaf_sign=np.array(leaf_sign, dtype=np.int64),
+        tree=np.array(tree, dtype=np.int64),
+        feasible=np.array(feasible, dtype=bool),
+        path_index=np.array(path, dtype=np.int64),
+    )
+
+
 def apply_tree(t: Tree, X: np.ndarray) -> np.ndarray:
-    """Vectorized predict_tree over a matrix of instances."""
+    """Vectorized predict_tree over a matrix of instances: the one-tree case
+    of the flat form."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.int64)
-
-    def walk(node: Node, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            out[idx] = node.sign
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        walk(node.left, idx[go_left])
-        walk(node.right, idx[~go_left])
-
-    walk(t.root, np.arange(X.shape[0]))
-    return out
+    return flatten([t], X.shape[1]).signs(X)[0]
 
 
 def enumerate_paths(t: Tree, sign: int, tree_index: int = 0) -> list[Path]:
@@ -295,17 +382,28 @@ def tree_to_dict(t: Tree) -> dict:
     return conv(t.root)
 
 
-def tree_from_dict(d: dict) -> Tree:
+def tree_from_dict(d: dict, n_features: int) -> Tree:
+    """Inverse of tree_to_dict. Rejects, with ValueError, a leaf sign other
+    than -1/+1, a non-finite threshold and a feature index outside
+    [0, n_features)."""
     stats = {"depth": 0, "leaves": 0}
 
     def conv(obj: dict, depth: int) -> Node:
         stats["depth"] = max(stats["depth"], depth)
         if "sign" in obj:
             stats["leaves"] += 1
-            return Leaf(sign=int(obj["sign"]), purity=float(obj["purity"]))
+            sign = int(obj["sign"])
+            if sign not in (-1, 1):
+                raise ValueError(f"leaf sign must be -1 or +1, got {obj['sign']!r}")
+            return Leaf(sign=sign, purity=float(obj["purity"]))
+        feature, threshold = int(obj["feature"]), float(obj["threshold"])
+        if not 0 <= feature < n_features:
+            raise ValueError(f"split feature {feature} outside [0, {n_features})")
+        if not math.isfinite(threshold):
+            raise ValueError(f"split threshold {threshold!r} is not finite")
         return Internal(
-            feature=int(obj["feature"]),
-            threshold=float(obj["threshold"]),
+            feature=feature,
+            threshold=threshold,
             left=conv(obj["left"], depth + 1),
             right=conv(obj["right"], depth + 1),
         )

@@ -7,7 +7,7 @@ version string so runs are self-describing. Exit codes are stable:
 
     0  success (NotFound is a result, not a failure)
     1  usage error
-    2  data or model error
+    2  data or model error, or an output that cannot be written
     3  training failure
     4  flip-soundness violation reported by verify
 """
@@ -38,6 +38,7 @@ from .data import (
     load_csv,
     make_demo_dataset,
     parse_label_map,
+    write_text_atomic,
 )
 from .prune import (
     DEFAULT_MASS_FRACTION,
@@ -84,16 +85,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str, cast, default):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {_ENV_PREFIX}{name}: {raw!r} ({exc})")
-
-
 class UsageError(ValueError):
     pass
 
@@ -102,14 +93,13 @@ def _resolve(flag_value, env_name: str, cast, default):
     """flags > environment > defaults."""
     if flag_value is not None:
         return flag_value
-    return _env(env_name, cast, default)
-
-
-def _write_text_atomic(path: str, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    raw = os.environ.get(_ENV_PREFIX + env_name)
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value for {_ENV_PREFIX}{env_name}: {raw!r} ({exc})")
 
 
 def _load_model_or_die(path: str) -> Ensemble:
@@ -204,6 +194,8 @@ def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None]:
                               dtype=np.float64)
         except ValueError:
             raise DataError(f"cannot parse --instance {args.instance!r}")
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"non-finite value in --instance {args.instance!r}")
         if values.shape[0] != e.n_features:
             raise DataError(
                 f"--instance has {values.shape[0]} values, model expects {e.n_features}"
@@ -253,11 +245,8 @@ def cmd_explain(args) -> int:
     eps_value = _resolve(args.epsilon, "EPSILON", float, 0.01)
     norm = _resolve(args.norm, "NORM", str, "L2_std")
     prune_spec = _resolve(args.prune, "PRUNE", str, "none")
-    threads = _resolve(args.threads, "THREADS", int, 1)
     if norm not in NORMS:
         raise UsageError(f"--norm must be one of {NORMS}, got {norm!r}")
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
     try:
         eps = EpsilonPolicy(mode=eps_mode, value=eps_value)
     except ValueError as exc:
@@ -270,7 +259,7 @@ def cmd_explain(args) -> int:
     pred, _ = predict_ensemble(e, values)
     try:
         result = explain(e, values, eps, norm=norm, k_prime=k_prime,
-                         target=args.target, label=args.label, threads=threads)
+                         target=args.target, label=args.label)
     except ValueError as exc:
         raise DataError(str(exc))
 
@@ -282,7 +271,6 @@ def cmd_explain(args) -> int:
         "epsilon": eps_value,
         "norm": norm,
         "prune": prune_spec,
-        "threads": threads,
         "target": args.target,
         "label": args.label,
     }
@@ -315,7 +303,7 @@ def cmd_explain(args) -> int:
         payload["message"] = result.message
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _write_text_atomic(args.out, text)
+        write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -331,7 +319,7 @@ def cmd_report_alphas(args) -> int:
     lines.append("k,alpha,cumulative_mass")
     for k, a, cum in alpha_report_rows(e):
         lines.append(f"{k},{a!r},{cum!r}")
-    _write_text_atomic(args.out, "\n".join(lines) + "\n")
+    write_text_atomic(args.out, "\n".join(lines) + "\n")
     print(f"alpha report written: {args.out} ({e.k} rows)")
     return EXIT_OK
 
@@ -357,7 +345,7 @@ def cmd_report_trajectories(args) -> int:
         for k, w in trajectory_report_rows(e, i):
             lines.append(f"{k},{w!r}")
         path = os.path.join(args.out_dir, f"trajectory_{i}.csv")
-        _write_text_atomic(path, "\n".join(lines) + "\n")
+        write_text_atomic(path, "\n".join(lines) + "\n")
         print(f"trajectory written: {path} ({e.k + 1} rows)")
     return EXIT_OK
 
@@ -428,7 +416,7 @@ def cmd_verify(args) -> int:
         out.write(f"{i},{fe},{fo},{str(agree).lower()}\n")
     text = out.getvalue()
     if args.out:
-        _write_text_atomic(args.out, text)
+        write_text_atomic(args.out, text)
     sys.stdout.write(text)
     rate = agreements / solvable if solvable else 1.0
     print(f"# summary: {n} instances, {solvable} solvable, "
@@ -487,7 +475,6 @@ def build_parser() -> _Parser:
     _add_epsilon_args(p)
     p.add_argument("--prune",
                    help="none | alpha-mass:F | trajectory:W,TOL | both:F,W,TOL (default: none)")
-    p.add_argument("--threads", type=int, help="candidate evaluation threads (default: 1)")
     p.add_argument("--target", type=int, choices=[-1, 1],
                    help="required flipped class; must oppose the current prediction")
     p.add_argument("--label", type=int, choices=[-1, 1],
@@ -537,6 +524,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except GridGuardError as exc:
         print(f"tweakboost: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"tweakboost: i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainError as exc:
         print(f"tweakboost: training failed: {exc}", file=sys.stderr)

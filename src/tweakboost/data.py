@@ -1,4 +1,4 @@
-"""Tabular dataset ingestion and per-feature statistics.
+"""Tabular dataset ingestion, per-feature statistics and atomic writes.
 
 CSV contract: comma-separated, UTF-8, header row required, '.' decimal
 separator, numeric cells unquoted. Labels live in one named column and are
@@ -9,6 +9,7 @@ error, never imputed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -19,16 +20,14 @@ import numpy as np
 __all__ = [
     "DataError",
     "FeatureSchema",
-    "FeatureStat",
     "Dataset",
-    "Instance",
     "make_dataset",
     "load_csv",
     "save_csv",
     "split",
-    "standardize_distance_stats",
     "parse_label_map",
     "make_demo_dataset",
+    "write_text_atomic",
 ]
 
 
@@ -63,28 +62,6 @@ class FeatureSchema:
         """True when the feature never varies; it can never appear in a split
         and is excluded from distance computation."""
         return self.stddev == 0.0
-
-
-@dataclass(frozen=True)
-class FeatureStat:
-    """One row of the distance-normalization table."""
-
-    index: int
-    name: str
-    mean: float
-    stddev: float
-    excluded: bool
-
-
-@dataclass
-class Instance:
-    """A single feature vector, optionally tied to a dataset row."""
-
-    values: np.ndarray
-    id: int | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
 
 
 @dataclass
@@ -128,11 +105,6 @@ class Dataset:
     @property
     def feature_names(self) -> list[str]:
         return [f.name for f in self.schema]
-
-    def instance(self, i: int) -> Instance:
-        if not 0 <= i < self.n_rows:
-            raise IndexError(f"row {i} out of range [0, {self.n_rows})")
-        return Instance(self.rows[i].copy(), id=i)
 
 
 def compute_schema(rows: np.ndarray, names: list[str]) -> list[FeatureSchema]:
@@ -285,21 +257,19 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     return train, test
 
 
-def standardize_distance_stats(ds: Dataset) -> list[FeatureStat]:
-    """Per-feature (mean, stddev) table for distance normalization, in schema
-    order. Constant features report stddev 0 and are marked excluded."""
-    if ds.n_rows == 0:
-        raise DataError("empty dataset")
-    return [
-        FeatureStat(
-            index=f.index,
-            name=f.name,
-            mean=f.mean,
-            stddev=f.stddev,
-            excluded=f.constant,
-        )
-        for f in ds.schema
-    ]
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write text through a temp file beside path and a rename, so a reader
+    never sees a partial file. When the write or the rename fails the temp
+    file is removed and the OSError propagates."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def make_demo_dataset(n_rows: int = 600, n_features: int = 8, seed: int = 7,

@@ -14,7 +14,6 @@ import numpy as np
 
 from .boost import Ensemble, ensemble_margins, weight_trajectory
 from .data import Dataset
-from . import cart
 
 __all__ = [
     "DEFAULT_MASS_FRACTION",
@@ -138,7 +137,7 @@ def margin_certificate(e: Ensemble, x, k_prime: int) -> bool:
     """True when the truncated margin provably cannot be overturned by the
     remaining trees: |margin at K'| > sum of trailing stage weights. When it
     fires, truncated and full predictions agree, unconditionally."""
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     if not 1 <= k_prime <= e.k:
         raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")

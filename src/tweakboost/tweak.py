@@ -7,23 +7,23 @@ the path's feasible interval, the FULL ensemble is evaluated on the tweaked
 vector (truncation narrows the search, never the verdict), and the closest
 flipping candidate is the counterfactual. Both symmetric cases are handled:
 positive paths in negative-voting trees and negative paths in positive ones.
+
+The search reads the ensemble's leaf-box table (cart.FlatTrees) and works
+on all boxes at once: one epsilon step, one margin pass, one distance
+vector per instance.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boost import Ensemble, ensemble_margins, predict_ensemble
-from .cart import FeasibleBox, Path, enumerate_paths, path_to_box
-from .data import FeatureSchema, FeatureStat
-from . import cart
-
-log = logging.getLogger(__name__)
+from .cart import FeasibleBox, Path, path_to_box
+from .data import FeatureSchema
 
 __all__ = [
     "GRID_GUARD",
@@ -113,130 +113,102 @@ class NotFound:
     )
 
 
-def _stat_arrays(stats) -> tuple[np.ndarray, np.ndarray]:
-    """Accepts a FeatureStat table or a schema list; returns (sigma, included)."""
-    sigma, included = [], []
-    for s in stats:
-        if isinstance(s, FeatureStat):
-            sigma.append(s.stddev)
-            included.append(not s.excluded)
-        else:  # FeatureSchema
-            sigma.append(s.stddev)
-            included.append(not s.constant)
-    return np.asarray(sigma, dtype=np.float64), np.asarray(included, dtype=bool)
-
-
-def distance(x, x_cand, stats, norm: str = "L2_std") -> float:
-    """Distance between an instance and a candidate under training stats.
+def distance(x, x_cand, schema: list[FeatureSchema], norm: str = "L2_std"):
+    """Distance between an instance and a candidate under training stats;
+    for a matrix of candidates (one per row), the vector of their distances.
 
     L2_std: sqrt(sum ((dx/sigma)^2)); L1_std: sum |dx|/sigma; L0: count of
     changed features. Constant features are excluded throughout.
     """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-    a = cart._values_of(x)
+    a = np.asarray(x, dtype=np.float64)
     b = np.asarray(x_cand, dtype=np.float64)
-    sigma, included = _stat_arrays(stats)
-    d = (b - a)[included]
+    included = np.array([not f.constant for f in schema])
+    sigma = np.array([f.stddev for f in schema])[included]
+    # C order, so that each row sums exactly as a lone 1-D vector would
+    d = np.ascontiguousarray(np.atleast_2d(b - a)[:, included])
     if norm == "L0":
-        return float(np.count_nonzero(d))
-    z = d / sigma[included]
-    if norm == "L1_std":
-        return float(np.abs(z).sum())
-    return float(np.sqrt((z**2).sum()))
+        out = np.count_nonzero(d, axis=1).astype(np.float64)
+    else:
+        z = d / sigma
+        out = np.abs(z).sum(axis=1) if norm == "L1_std" else np.sqrt((z**2).sum(axis=1))
+    return float(out[0]) if b.ndim == 1 else out
+
+
+def _epsilon_step(values: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                  eps_vec: np.ndarray):
+    """The epsilon rule for a matrix of boxes (lower, upper], one per row.
+
+    A feature already inside its interval keeps its value; a violated one
+    moves to upper - eps when above it and to lower + eps when below it,
+    or to the next float above lower when eps is below lower's resolution.
+    Returns (tweaked values, violated mask, ok), where ok is False for a
+    box some violated interval of which is too narrow (width <= eps).
+    """
+    inside = (lower < values) & (values <= upper)
+    ok = ~np.any(~inside & (upper - lower <= eps_vec), axis=1)
+    raised = lower + eps_vec
+    raised = np.where(raised == lower, np.nextafter(lower, np.inf), raised)
+    moved = np.where(values > upper, upper - eps_vec, raised)
+    return np.where(inside, values, moved), ~inside, ok
 
 
 def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray,
                       n_features: int | None = None):
-    """Minimal per-feature edit of x that satisfies the path.
-
-    Features already inside the path's interval are left alone; a violated
-    feature is set to the nearest epsilon-inside point (upper bound - eps
-    when violating from above, lower bound + eps from below). Returns
-    (values, tweaked_feature_set) or None when some required interval is too
-    narrow (width <= eps) for an epsilon-inside point to exist.
+    """Minimal per-feature edit of x that satisfies one path: the epsilon
+    rule of generate_candidates for a single box. Returns
+    (values, tweaked_feature_set), or None when some required interval is
+    too narrow (width <= eps) for an epsilon-inside point to exist.
     """
-    values = cart._values_of(x).copy()
-    if isinstance(p, Path):
-        if n_features is None:
-            n_features = values.shape[0]
-        box = path_to_box(p, n_features)
-    else:
-        box = p
-    if values.shape[0] != box.lower.shape[0]:
-        raise ValueError(
-            f"instance arity {values.shape[0]} != box arity {box.lower.shape[0]}"
-        )
+    values = np.asarray(x, dtype=np.float64)
+    n = values.shape[0]
+    box = path_to_box(p, n_features or n) if isinstance(p, Path) else p
+    if n != box.lower.shape[0]:
+        raise ValueError(f"instance arity {n} != box arity {box.lower.shape[0]}")
     if not box.feasible:
         raise ValueError(f"path is infeasible on features {box.infeasible_features}")
-    tweaked: set[int] = set()
-    for f in range(values.shape[0]):
-        lo, hi = box.lower[f], box.upper[f]
-        v = values[f]
-        if lo < v <= hi:
-            continue
-        if hi - lo <= eps_per_feature[f]:
-            return None  # no epsilon-inside point in this interval
-        values[f] = hi - eps_per_feature[f] if v > hi else lo + eps_per_feature[f]
-        tweaked.add(f)
-    return values, frozenset(tweaked)
+    moved, tweaked, ok = _epsilon_step(values, box.lower[None, :], box.upper[None, :],
+                                       np.asarray(eps_per_feature, dtype=np.float64))
+    if not ok[0]:
+        return None
+    return moved[0], frozenset(np.flatnonzero(tweaked[0]).tolist())
 
 
 def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
-                        k_prime: int | None = None, norm: str = "L2_std",
-                        threads: int = 1) -> list[Candidate]:
+                        k_prime: int | None = None, norm: str = "L2_std") -> list[Candidate]:
     """All epsilon-transform candidates from opposite-sign paths of trees
     that currently agree with the ensemble verdict, restricted to the first
     k_prime trees when given. Every candidate's verdict comes from the FULL
     ensemble. Deterministic ascending (tree, path) order.
     """
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     s, _ = predict_ensemble(e, values)
     if k_prime is not None and not 1 <= k_prime <= e.k:
         raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
     limit = e.k if k_prime is None else k_prime
-    eps_vec = eps.per_feature(e.schema)
-
-    def tree_candidates(k: int) -> list[tuple[int, int, np.ndarray, frozenset]]:
-        from .cart import predict_tree
-
-        if predict_tree(e.trees[k], values) != s:
-            return []
-        out = []
-        for path in enumerate_paths(e.trees[k], -s, tree_index=k):
-            box = path_to_box(path, e.n_features)
-            if not box.feasible:
-                log.debug("tree %d path %d infeasible, skipped", k, path.path_index)
-                continue
-            res = epsilon_transform(values, box, eps_vec)
-            if res is None:
-                continue
-            out.append((k, path.path_index, res[0], res[1]))
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_tree = list(pool.map(tree_candidates, range(limit)))
-    else:
-        per_tree = [tree_candidates(k) for k in range(limit)]
-    raw = [item for sub in per_tree for item in sub]  # ascending (k, j) by construction
-
-    if not raw:
+    flat = e.flat
+    agrees = np.zeros(e.k, dtype=bool)
+    agrees[:limit] = flat.signs(values[None, :], limit)[:, 0] == s
+    boxes = np.flatnonzero(agrees[flat.tree] & (flat.leaf_sign == -s) & flat.feasible)
+    moved, tweaked, ok = _epsilon_step(values, flat.lower[boxes], flat.upper[boxes],
+                                       eps.per_feature(e.schema))
+    boxes, moved, tweaked = boxes[ok], moved[ok], tweaked[ok]
+    if not boxes.size:
         return []
-    mat = np.stack([r[2] for r in raw])
-    margins = ensemble_margins(e, mat)  # full ensemble, never truncated
-    verdicts = np.where(margins > 0, 1, -1)
+    margins = ensemble_margins(e, moved)  # full ensemble, never truncated
+    dists = distance(values, moved, e.schema, norm)
     return [
         Candidate(
-            values=vals,
-            tree_index=k,
-            path_index=j,
-            tweaked_features=tw,
-            ensemble_verdict=int(verdicts[i]),
-            distance=distance(values, vals, e.schema, norm),
+            values=moved[i],
+            tree_index=int(flat.tree[b]),
+            path_index=int(flat.path_index[b]),
+            tweaked_features=frozenset(np.flatnonzero(tweaked[i]).tolist()),
+            ensemble_verdict=1 if margins[i] > 0 else -1,
+            distance=float(dists[i]),
         )
-        for i, (k, j, vals, tw) in enumerate(raw)
+        for i, b in enumerate(boxes)
     ]
 
 
@@ -249,9 +221,10 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
     target, when given, must be the opposite of the current prediction.
     label, when given, asserts provenance: the instance must be correctly
     predicted (the classic setting explains true negatives / true positives).
+    threads is accepted for compatibility and ignored.
     """
     eps = eps or EpsilonPolicy()
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     pred, _ = predict_ensemble(e, values)
     if target is not None and target == pred:
@@ -262,26 +235,20 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
         raise ValueError(
             f"provenance assertion failed: label {label:+d} but prediction {pred:+d}"
         )
-    cands = generate_candidates(e, values, eps, k_prime=k_prime, norm=norm, threads=threads)
+    cands = generate_candidates(e, values, eps, k_prime=k_prime, norm=norm)
     flipped = [c for c in cands if c.ensemble_verdict != pred]
     if not flipped:
         return NotFound(n_candidates_evaluated=len(cands), k_prime_used=k_prime)
     best = min(flipped, key=lambda c: (c.distance, c.tree_index, c.path_index))
-    delta = {
-        int(f): (float(values[f]), float(best.values[f]))
-        for f in sorted(best.tweaked_features)
-        if best.values[f] != values[f]
-    }
-    return Counterfactual(
-        original=values.copy(),
-        transformed=best.values.copy(),
-        delta=delta,
-        distance=best.distance,
-        n_candidates_evaluated=len(cands),
-        k_prime_used=k_prime,
-        source_tree=best.tree_index,
-        source_path=best.path_index,
-    )
+    return _counterfactual(values, best.values, best.distance, len(cands), k_prime_used=k_prime,
+                           source_tree=best.tree_index, source_path=best.path_index)
+
+
+def _counterfactual(values: np.ndarray, new: np.ndarray, dist: float, n_eval: int,
+                    **provenance) -> Counterfactual:
+    delta = {int(f): (float(values[f]), float(new[f])) for f in np.flatnonzero(new != values)}
+    return Counterfactual(original=values.copy(), transformed=new.copy(), delta=delta,
+                          distance=dist, n_candidates_evaluated=n_eval, **provenance)
 
 
 def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
@@ -289,15 +256,12 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     """Independent verifier: exhaustively evaluate every grid point that
     differs from x and return the flipping point of minimum distance.
     Used only by tests and the verify command."""
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     if len(grid) != e.n_features:
         raise ValueError(f"grid has {len(grid)} axes, model expects {e.n_features}")
-    size = 1
-    for axis in grid:
-        size *= len(axis)
-        if size > GRID_GUARD:
-            raise GridGuardError(f"grid size exceeds the {GRID_GUARD} point guard")
+    if math.prod(len(axis) for axis in grid) > GRID_GUARD:
+        raise GridGuardError(f"grid size exceeds the {GRID_GUARD} point guard")
     pred, _ = predict_ensemble(e, values)
     pts = np.array(list(itertools.product(*[np.asarray(a, dtype=np.float64) for a in grid])))
     differs = np.any(pts != values, axis=1)
@@ -311,21 +275,9 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     if not np.any(flip):
         return NotFound(n_candidates_evaluated=n_eval)
     flipping = pts[flip]
-    dists = np.array([distance(values, p, e.schema, norm) for p in flipping])
+    dists = distance(values, flipping, e.schema, norm)
     i = int(np.argmin(dists))  # first minimum: deterministic in product order
-    bestv = flipping[i]
-    delta = {
-        int(f): (float(values[f]), float(bestv[f]))
-        for f in range(e.n_features)
-        if bestv[f] != values[f]
-    }
-    return Counterfactual(
-        original=values.copy(),
-        transformed=bestv.copy(),
-        delta=delta,
-        distance=float(dists[i]),
-        n_candidates_evaluated=n_eval,
-    )
+    return _counterfactual(values, flipping[i], float(dists[i]), n_eval)
 
 
 def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> list[np.ndarray]:
@@ -333,28 +285,14 @@ def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> lis
     each axis carries the instance's own value and every epsilon-inside
     point of every threshold on that feature, padded with uniform fill over
     the training range up to `resolution` values."""
-    values = cart._values_of(x)
+    values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     eps_vec = eps.per_feature(e.schema)
-    thresholds: list[set[float]] = [set() for _ in range(e.n_features)]
-
-    def collect(node):
-        from .cart import Internal
-
-        if isinstance(node, Internal):
-            thresholds[node.feature].add(node.threshold)
-            collect(node.left)
-            collect(node.right)
-
-    for t in e.trees:
-        collect(t.root)
-
+    feature, threshold = e.flat.feature, e.flat.threshold
     grid = []
     for f in range(e.n_features):
-        pts = {float(values[f])}
-        for thr in thresholds[f]:
-            pts.add(float(thr - eps_vec[f]))
-            pts.add(float(thr + eps_vec[f]))
+        thr = threshold[feature == f]
+        pts = {float(values[f]), *(thr - eps_vec[f]).tolist(), *(thr + eps_vec[f]).tolist()}
         fill = max(0, resolution - len(pts))
         if fill:
             lo, hi = e.schema[f].min, e.schema[f].max

@@ -65,6 +65,11 @@ def demo_model(demo_ds):
     return train_adaboost(demo_ds, K=100, max_depth=4, seed=42)
 
 
+@pytest.fixture(scope="session")
+def deep_demo_model(demo_ds):
+    return train_adaboost(demo_ds, K=100, max_depth=6)
+
+
 @pytest.fixture
 def tiny_ds():
     # cleanly separable on f0 at 3.0

@@ -18,7 +18,7 @@ from tweakboost import (
     update_weights,
     weight_trajectory,
 )
-from tweakboost import make_dataset
+from tweakboost import make_dataset, predict_tree
 
 from conftest import desk_ensemble, random_learnable_dataset, stump
 
@@ -218,6 +218,15 @@ def test_ensemble_margins_matches_scalar_path():
     np.testing.assert_allclose(batch5, single5, atol=1e-12)
 
 
+def test_ensemble_margins_equal_tree_order_sum(demo_model, demo_ds):
+    X = demo_ds.rows[::4]
+    for upto in (None, 37):
+        want = np.zeros(X.shape[0])
+        for a, t in zip(demo_model.alphas[:upto], demo_model.trees[:upto]):
+            want += a * np.array([predict_tree(t, x) for x in X])
+        assert np.array_equal(ensemble_margins(demo_model, X, upto=upto), want)
+
+
 def test_staged_predictions_shape(tiny_ds):
     rng = np.random.default_rng(9)
     ds = random_learnable_dataset(rng, 40, 2)
@@ -259,6 +268,26 @@ def test_model_version_check(tmp_path, tiny_ds):
     d["version"] = "tweakboost-model/2"
     with pytest.raises(ValueError, match="version"):
         model_from_dict(d)
+
+
+def test_model_from_dict_rejects_invalid_models(tiny_ds):
+    d = model_to_dict(train_adaboost(tiny_ds, K=2, max_depth=1))  # separable: one tree
+    bad_tree = json.loads(json.dumps(d))
+    bad_tree["trees"][0]["feature"] = 99
+    bad_alpha = {**d, "alphas": [-1.0]}
+    nan_alpha = {**d, "alphas": [float("nan")]}
+    for doc, match in ((bad_tree, "feature"), (bad_alpha, "positive"), (nan_alpha, "finite")):
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(doc)
+
+
+def test_flat_form_is_compiled_on_first_use_only(tmp_path, tiny_ds):
+    path = tmp_path / "m.json"
+    save_model(train_adaboost(tiny_ds, K=3, max_depth=2), path)
+    e = load_model(path)
+    assert "flat" not in vars(e)  # loading compiles nothing
+    predict_ensemble(e, tiny_ds.rows[0])
+    assert e.flat is e.flat
 
 
 def test_save_model_is_atomic(tmp_path, tiny_ds):

@@ -14,6 +14,7 @@ from tweakboost.cart import (
     apply_tree,
     enumerate_paths,
     fit_tree,
+    flatten,
     path_to_box,
     predict_tree,
     tree_from_dict,
@@ -183,6 +184,36 @@ def test_apply_tree_matches_predict_tree():
     assert np.array_equal(batch, single)
 
 
+def test_flat_routing_of_uneven_trees_matches_predict_tree():
+    # a bare leaf, a stump and a lopsided tree share one padded node table
+    lopsided = Tree(
+        root=Internal(0, 1.0, Leaf(-1, 1.0),
+                      Internal(1, 2.0, Internal(0, 3.0, Leaf(1, 1.0), Leaf(-1, 1.0)),
+                               Leaf(1, 1.0))),
+        depth=3, n_leaves=4,
+    )
+    trees = [Tree(root=Leaf(1, 1.0), depth=0, n_leaves=1), stump(1, 0.5, 1, -1), lopsided]
+    X = np.array([[x0, x1] for x0 in (0.0, 1.0, 2.0, 3.0, 4.0) for x1 in (0.0, 0.5, 2.0, 9.0)])
+    signs = flatten(trees, 2).signs(X)
+    assert np.array_equal(signs, [[predict_tree(t, x) for x in X] for t in trees])
+
+
+def test_leaf_box_table_matches_enumerate_paths(demo_model):
+    flat = demo_model.flat
+    for k, t in enumerate(demo_model.trees):
+        for sign in (-1, 1):
+            rows = np.flatnonzero((flat.tree == k) & (flat.leaf_sign == sign))
+            paths = enumerate_paths(t, sign, tree_index=k)
+            assert len(rows) == len(paths)
+            for r, p in zip(rows, paths):
+                box = path_to_box(p, demo_model.n_features)
+                assert flat.path_index[r] == p.path_index
+                assert np.array_equal(flat.lower[r], box.lower)
+                assert np.array_equal(flat.upper[r], box.upper)
+                assert flat.feasible[r] == box.feasible
+    assert np.array_equal(flat.tree, np.sort(flat.tree))  # tree order
+
+
 # -------------------------------------------------- path enumeration
 
 def test_paths_partition_leaves():
@@ -262,9 +293,21 @@ def test_tree_dict_round_trip():
     ds = random_learnable_dataset(rng, 50, 3)
     t = fit_tree(ds, np.full(50, 0.02), max_depth=3)
     d = tree_to_dict(t)
-    back = tree_from_dict(d)
+    back = tree_from_dict(d, 3)
     assert back == t
     assert tree_to_dict(back) == d
+
+
+def test_tree_from_dict_rejects_bad_nodes():
+    good = tree_to_dict(stump(1, 2.5, -1, 1))
+    assert tree_from_dict(good, n_features=2) == stump(1, 2.5, -1, 1)
+    bad_leaf = {"sign": 0, "purity": 1.0}
+    for key, value, match in (("feature", 2, "feature"), ("feature", -1, "feature"),
+                              ("threshold", float("nan"), "threshold"),
+                              ("threshold", float("inf"), "threshold"),
+                              ("left", bad_leaf, "sign")):
+        with pytest.raises(ValueError, match=match):
+            tree_from_dict({**good, key: value}, n_features=2)
 
 
 def test_tree_dict_key_order():

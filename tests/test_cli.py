@@ -156,6 +156,43 @@ def test_explain_wrong_arity_inline(demo_model_path, capsys):
     assert "expects 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e999"])
+def test_explain_non_finite_inline_is_data_error(demo_model_path, capsys, bad):
+    inline = ",".join([bad] + ["0.5"] * 7)
+    assert run(["explain", "--model", str(demo_model_path), "--instance", inline]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_is_data_error(tmp_path, demo_model_path, capsys):
+    missing = tmp_path / "missing_dir"
+    assert run(["train", "--demo", "--k", "2", "--out", str(missing / "m.json")]) == 2
+    assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "1",
+                "--out", str(missing / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 2
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, demo_model_path):
+    out_dir = tmp_path / "out"
+    taken = out_dir / "x.json"
+    taken.mkdir(parents=True)  # the rename onto a directory fails
+    assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "1",
+                "--out", str(taken)]) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["x.json"]
+
+
+def test_explain_invalid_model_is_data_error(tmp_path, demo_model_path, capsys):
+    doc = json.loads(demo_model_path.read_text())
+    doc["trees"][0]["feature"] = 99
+    bad = tmp_path / "bad_feature.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(bad), "--demo", "--row", "1"]) == 2
+    assert "feature 99" in capsys.readouterr().err
+
+
 def test_explain_missing_model_is_data_error(tmp_path):
     assert run(["explain", "--model", str(tmp_path / "nope.json"),
                 "--instance", "1.0"]) == 2

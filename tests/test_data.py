@@ -10,7 +10,6 @@ from tweakboost import (
     parse_label_map,
     save_csv,
     split,
-    standardize_distance_stats,
 )
 
 
@@ -40,13 +39,6 @@ def test_rows_are_read_only():
     ds = make_dataset(np.array([[1.0], [2.0]]), [1, -1], ["a"])
     with pytest.raises(ValueError):
         ds.rows[0, 0] = 9.0
-
-
-def test_instance_accessor():
-    ds = make_dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [1, -1], ["a", "b"])
-    inst = ds.instance(1)
-    assert inst.id == 1
-    assert inst.values.tolist() == [3.0, 4.0]
 
 
 def test_csv_round_trip(tmp_path):
@@ -154,14 +146,6 @@ def test_split_requires_both_classes():
     ds = make_dataset(X, [1, 1, 1, 1, 1, 1, 1, -1], ["a"])
     with pytest.raises(DataError, match=r"class .* absent from"):
         split(ds, 0.5, seed=2)
-
-
-def test_distance_stats_exclude_constant_features():
-    X = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-    ds = make_dataset(X, [1, -1, 1], ["a", "b"])
-    stats = standardize_distance_stats(ds)
-    assert not stats[0].excluded
-    assert stats[1].excluded
 
 
 def test_demo_dataset_shape_and_determinism():

@@ -15,6 +15,7 @@ from tweakboost import (
     oracle_grid,
     predict_ensemble,
     predict_tree,
+    select_kprime_alpha_mass,
     train_adaboost,
 )
 from tweakboost.cart import Internal, Leaf, Path, PathCondition, enumerate_paths, path_to_box
@@ -136,6 +137,18 @@ def test_distance_excludes_constant_features():
     assert distance(x, moved, schema, "L0") == 0.0
 
 
+def test_distance_of_a_matrix_is_its_rows_distances():
+    # more than 8 features: the row sums must match lone 1-D sums bit for bit
+    rng = np.random.default_rng(3)
+    schema = make_schema(11)
+    x = rng.uniform(0, 10, 11)
+    cands = rng.uniform(0, 10, (40, 11))
+    for norm in ("L2_std", "L1_std", "L0"):
+        many = distance(x, cands, schema, norm)
+        assert many.shape == (40,)
+        assert [distance(x, c, schema, norm) for c in cands] == many.tolist()
+
+
 def test_distance_rejects_unknown_norm():
     with pytest.raises(ValueError, match="norm"):
         distance(np.array([1.0]), np.array([1.0]), make_schema(1), "L3")
@@ -143,12 +156,24 @@ def test_distance_rejects_unknown_norm():
 
 # -------------------------------------------------- candidate generation
 
-def leaf_walk_oracle(e, x, eps_vec):
-    """Independent enumeration: walk every leaf of every agreeing tree and
-    apply the tweak rules directly; returns [(k, j, values)]."""
-    s, _ = predict_ensemble(e, x)
+def tree_order_margin(e, z):
+    """The vote summed tree by tree from 0.0 with the reference walk."""
+    total = 0.0
+    for a, t in zip(e.alphas, e.trees):
+        total += a * predict_tree(t, z)
+    return total
+
+
+def leaf_walk_oracle(e, x, eps_vec, k_prime=None):
+    """Independent enumeration: walk every leaf of every agreeing tree among
+    the first k_prime and apply the tweak rules directly. A lower bound that
+    eps cannot move (lo + eps == lo) is crossed by one ulp instead. Returns
+    [(k, j, values, full-ensemble verdict, L2_std distance)]."""
+    s = 1 if tree_order_margin(e, x) > 0 else -1
+    sigma = np.array([f.stddev for f in e.schema])
+    used = sigma != 0.0
     out = []
-    for k, t in enumerate(e.trees):
+    for k, t in enumerate(e.trees[:k_prime]):
         if predict_tree(t, x) != s:
             continue
         j = -1
@@ -166,20 +191,43 @@ def leaf_walk_oracle(e, x, eps_vec):
                 if hi - lo <= eps_vec[f]:
                     ok = False
                     break
-                vals[f] = hi - eps_vec[f] if vals[f] > hi else lo + eps_vec[f]
+                if vals[f] > hi:
+                    vals[f] = hi - eps_vec[f]
+                elif lo + eps_vec[f] != lo:
+                    vals[f] = lo + eps_vec[f]
+                else:
+                    vals[f] = np.nextafter(lo, np.inf)
             if ok:
-                out.append((k, j, vals))
+                verdict = 1 if tree_order_margin(e, vals) > 0 else -1
+                z = (vals - x)[used] / sigma[used]
+                out.append((k, j, vals, verdict, float(np.sqrt((z**2).sum()))))
     return out
 
 
+def assert_candidates_equal_leaf_walk(e, rows, eps=EpsilonPolicy(), k_prime=None):
+    for x in rows:
+        cands = generate_candidates(e, x, eps, k_prime=k_prime)
+        expected = leaf_walk_oracle(e, x, eps.per_feature(e.schema), k_prime)
+        assert [(c.tree_index, c.path_index) for c in cands] == \
+            [(k, j) for k, j, *_ in expected]
+        for c, (_, _, vals, verdict, dist) in zip(cands, expected):
+            np.testing.assert_array_equal(c.values, vals)
+            assert c.ensemble_verdict == verdict
+            assert c.distance == dist
+
+
 def test_desk_candidates_match_leaf_walk():
-    e = three_stump_ensemble()
-    x = np.array([2.0, 0.5])
-    cands = generate_candidates(e, x, EPS_ABS)
-    expected = leaf_walk_oracle(e, x, EPS_ABS.per_feature(e.schema))
-    assert [(c.tree_index, c.path_index) for c in cands] == [(k, j) for k, j, _ in expected]
-    for c, (_, _, vals) in zip(cands, expected):
-        np.testing.assert_allclose(c.values, vals)
+    assert_candidates_equal_leaf_walk(three_stump_ensemble(), [np.array([2.0, 0.5])], EPS_ABS)
+
+
+def test_candidates_equal_leaf_walk_on_demo_model(demo_model, demo_ds):
+    assert_candidates_equal_leaf_walk(demo_model, demo_ds.rows[::60])
+
+
+def test_candidates_equal_leaf_walk_on_deep_prefix(deep_demo_model, demo_ds):
+    k_prime = select_kprime_alpha_mass(deep_demo_model, 0.8).k_prime
+    assert k_prime < deep_demo_model.k
+    assert_candidates_equal_leaf_walk(deep_demo_model, demo_ds.rows[5::100], k_prime=k_prime)
 
 
 def test_desk_candidate_values_and_verdicts():
@@ -261,20 +309,6 @@ def test_generate_candidates_validates_k_prime():
             generate_candidates(e, x, EPS_ABS, k_prime=bad)
 
 
-def test_threaded_generation_matches_sequential():
-    rng = np.random.default_rng(81)
-    ds = random_learnable_dataset(rng, 80, 4)
-    e = train_adaboost(ds, K=10, max_depth=3)
-    x = ds.rows[7]
-    seq = generate_candidates(e, x, EpsilonPolicy(), threads=1)
-    par = generate_candidates(e, x, EpsilonPolicy(), threads=4)
-    assert [(c.tree_index, c.path_index) for c in seq] == \
-           [(c.tree_index, c.path_index) for c in par]
-    for a, b in zip(seq, par):
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.distance == b.distance
-
-
 # -------------------------------------------------- explain
 
 def test_explain_desk_case():
@@ -335,6 +369,21 @@ def test_explain_checks_label_provenance():
     with pytest.raises(ValueError, match="provenance"):
         explain(e, x, EPS_ABS, label=1)
     assert isinstance(explain(e, x, EPS_ABS, label=-1), Counterfactual)
+
+
+def test_epsilon_below_float_resolution_crosses_the_threshold():
+    # 1e6 + 1e-12 == 1e6, so the open lower bound is crossed by one ulp
+    e = desk_ensemble([stump(0, 1e6, -1, 1)], [1.0], lo=0.0, hi=2e6)
+    eps = EpsilonPolicy(mode="absolute", value=1e-12)
+    x = np.array([999999.0, 5.0])
+    res = explain(e, x, eps)
+    assert isinstance(res, Counterfactual)
+    assert res.transformed[0] == np.nextafter(1e6, np.inf)
+    assert predict_ensemble(e, res.transformed)[0] == 1
+    p = Path(conditions=(PathCondition(0, ">", 1e6),), leaf_sign=1)
+    values, tweaked = epsilon_transform(x, p, eps.per_feature(e.schema))
+    np.testing.assert_array_equal(values, res.transformed)
+    assert tweaked == {0}
 
 
 def test_explain_tie_breaks_by_tree_then_path():
