@@ -3,7 +3,8 @@
 Routing rule (fixed, global): an instance goes LEFT iff value <= threshold.
 Candidate thresholds are midpoints between consecutive distinct sorted
 feature values; impurity ties break toward (lower feature index, lower
-threshold); a leaf with equal weighted class mass predicts -1.
+threshold); a leaf with equal weighted class mass predicts -1. The split
+search sorts each feature once per dataset, not per node.
 
 fit_tree builds node objects, which the JSON form round-trips. Every
 evaluation reads the flat form instead (flatten): padded per-tree node
@@ -121,42 +122,27 @@ def _leaf(pos: float, neg: float) -> Leaf:
     return Leaf(sign=sign, purity=float(purity))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray, idx: np.ndarray,
+def _best_split(X: np.ndarray, wp: np.ndarray, wn: np.ndarray, order: np.ndarray,
                 min_leaf_weight: float):
-    """Scan all (feature, midpoint) candidates; return (children_impurity,
-    feature, threshold) of the best or None. First strict improvement wins,
-    so exact ties resolve to the lowest feature index / lowest threshold."""
-    best = None
-    pos_mask = y[idx] == 1
-    wp = np.where(pos_mask, w[idx], 0.0)
-    wn = np.where(pos_mask, 0.0, w[idx])
-    for f in range(X.shape[1]):
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue  # constant within node
-        cp = np.cumsum(wp[order])
-        cn = np.cumsum(wn[order])
-        # boundaries between consecutive distinct values
-        cut = np.nonzero(vs[:-1] < vs[1:])[0]
-        if cut.size == 0:
-            continue
-        pl, nl = cp[cut], cn[cut]
-        pr, nr = cp[-1] - pl, cn[-1] - nl
-        tl, tr = pl + nl, pr + nr
-        ok = (tl >= min_leaf_weight) & (tr >= min_leaf_weight) & (tl > 0) & (tr > 0)
-        if not np.any(ok):
-            continue
-        imp = np.full(cut.shape, np.inf)
-        imp[ok] = (tl[ok] - (pl[ok] ** 2 + nl[ok] ** 2) / tl[ok]) + (
-            tr[ok] - (pr[ok] ** 2 + nr[ok] ** 2) / tr[ok]
-        )
-        i = int(np.argmin(imp))  # first minimum -> lowest threshold
-        if best is None or imp[i] < best[0]:
-            thr = 0.5 * (vs[cut[i]] + vs[cut[i] + 1])
-            best = (float(imp[i]), f, float(thr))
-    return best
+    """Score every (feature, midpoint) candidate of a node in one pass over
+    its (n_features, m) row order (each feature's rows by ascending value);
+    return (children_impurity, feature, threshold) of the best or None. The
+    first minimum in (feature, cut) order wins, so exact ties resolve to the
+    lowest feature index / lowest threshold."""
+    vs = X[order, np.arange(X.shape[1])[:, None]]
+    cp = np.cumsum(wp[order], axis=1)
+    cn = np.cumsum(wn[order], axis=1)
+    pl, nl = cp[:, :-1], cn[:, :-1]
+    pr, nr = cp[:, -1:] - pl, cn[:, -1:] - nl
+    tl, tr = pl + nl, pr + nr
+    ok = (vs[:, :-1] < vs[:, 1:]) & (tl >= min_leaf_weight) & (tr >= min_leaf_weight) \
+        & (tl > 0) & (tr > 0)  # cuts between distinct values, no light child
+    with np.errstate(divide="ignore", invalid="ignore"):
+        imp = np.where(ok, (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), np.inf)
+    f, i = np.unravel_index(np.argmin(imp), imp.shape)
+    if imp[f, i] == np.inf:
+        return None
+    return float(imp[f, i]), int(f), float(0.5 * (vs[f, i] + vs[f, i + 1]))
 
 
 def fit_tree(ds: Dataset, sample_weights, max_depth: int,
@@ -165,12 +151,15 @@ def fit_tree(ds: Dataset, sample_weights, max_depth: int,
 
     Splitting stops when the depth limit is reached, the node is pure, no
     split reduces impurity, or a child would carry weight < min_leaf_weight.
+    Nodes partition Dataset.feature_order, sorted once per dataset.
     """
     w = np.asarray(sample_weights, dtype=np.float64)
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
     if w.shape != (ds.n_rows,):
         raise ValueError(f"weights length {w.shape} != {ds.n_rows} rows")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -179,17 +168,18 @@ def fit_tree(ds: Dataset, sample_weights, max_depth: int,
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
     X, y = ds.rows, ds.labels
+    wp, wn = np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)
     stats = {"depth": 0, "leaves": 0}
 
-    def build(idx: np.ndarray, depth: int) -> Node:
-        pos = float(w[idx][y[idx] == 1].sum())
-        neg = float(w[idx][y[idx] == -1].sum())
+    def build(node: np.ndarray, order: np.ndarray, depth: int) -> Node:
+        pos = float(w[node & (y == 1)].sum())
+        neg = float(w[node & (y == -1)].sum())
         total = pos + neg
         stats["depth"] = max(stats["depth"], depth)
         if depth >= max_depth or pos == 0.0 or neg == 0.0:
             stats["leaves"] += 1
             return _leaf(pos, neg)
-        found = _best_split(X, y, w, idx, min_leaf_weight)
+        found = _best_split(X, wp, wn, order, min_leaf_weight)
         if found is None:
             stats["leaves"] += 1
             return _leaf(pos, neg)
@@ -198,15 +188,14 @@ def fit_tree(ds: Dataset, sample_weights, max_depth: int,
         if not imp_children < imp_parent:
             stats["leaves"] += 1
             return _leaf(pos, neg)
-        go_left = X[idx, f] <= thr
-        return Internal(
-            feature=f,
-            threshold=thr,
-            left=build(idx[go_left], depth + 1),
-            right=build(idx[~go_left], depth + 1),
-        )
 
-    root = build(np.arange(ds.n_rows), 0)
+        def child(side: np.ndarray) -> Node:  # the side's rows keep their sorted order
+            return build(node & side, order[side[order]].reshape(len(order), -1), depth + 1)
+
+        go_left = X[:, f] <= thr
+        return Internal(feature=f, threshold=thr, left=child(go_left), right=child(~go_left))
+
+    root = build(np.ones(ds.n_rows, dtype=bool), ds.feature_order, 0)
     return Tree(root=root, depth=stats["depth"], n_leaves=stats["leaves"])
 
 

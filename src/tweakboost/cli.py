@@ -49,6 +49,7 @@ from .prune import (
     margin_certificate,
     select_kprime_alpha_mass,
     select_kprime_trajectory,
+    trajectory_fits,
     trajectory_report_rows,
 )
 from .tweak import (
@@ -185,9 +186,10 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- explain
 
 
-def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None]:
-    """Returns (values, training_row_or_None). Inline instances have no
-    training row, so trajectory-based pruning cannot apply to them."""
+def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None, int | None]:
+    """Returns (values, training_row_or_None, label_or_None). Inline
+    instances have no training row, so trajectory-based pruning cannot
+    apply to them."""
     if args.instance is not None:
         try:
             values = np.array([float(v) for v in args.instance.split(",")],
@@ -200,7 +202,7 @@ def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None]:
             raise DataError(
                 f"--instance has {values.shape[0]} values, model expects {e.n_features}"
             )
-        return values, None
+        return values, None, None
     if args.data is None and not args.demo:
         raise UsageError("--row requires --data or --demo")
     ds = _load_dataset(args)
@@ -210,11 +212,11 @@ def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None]:
         raise DataError(
             f"dataset has {ds.n_features} features, model expects {e.n_features}"
         )
-    return ds.rows[args.row].copy(), args.row
+    return ds.rows[args.row].copy(), args.row, int(ds.labels[args.row])
 
 
-def _select_kprime(e: Ensemble, strategy: str, params: dict,
-                   row: int | None) -> tuple[int | None, list[str]]:
+def _select_kprime(e: Ensemble, strategy: str, params: dict, row: int | None,
+                   values: np.ndarray, label: int | None) -> tuple[int | None, list[str]]:
     notes: list[str] = []
     if strategy == "none":
         return None, notes
@@ -224,6 +226,11 @@ def _select_kprime(e: Ensemble, strategy: str, params: dict,
     if row is not None and not traj_possible:
         raise DataError(
             f"row {row} has no stored weight trajectory (model trained on {e.n_train} rows)"
+        )
+    if traj_possible and not trajectory_fits(e, row, values, label):
+        raise DataError(
+            f"row {row}'s stored weight trajectory cannot belong to this instance "
+            "(the data are not the model's training data)"
         )
     if strategy == "trajectory":
         if not traj_possible:
@@ -254,8 +261,8 @@ def cmd_explain(args) -> int:
     strategy, params = parse_prune_spec(prune_spec)
 
     e = _load_model_or_die(args.model)
-    values, row = _resolve_instance(args, e)
-    k_prime, notes = _select_kprime(e, strategy, params, row)
+    values, row, label = _resolve_instance(args, e)
+    k_prime, notes = _select_kprime(e, strategy, params, row, values, label)
     pred, _ = predict_ensemble(e, values)
     try:
         result = explain(e, values, eps, norm=norm, k_prime=k_prime,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -93,6 +94,14 @@ class Dataset:
             )
         self.rows.setflags(write=False)
         self.labels.setflags(write=False)
+
+    @functools.cached_property
+    def feature_order(self) -> np.ndarray:
+        """(n_features, n_rows): each feature's rows by ascending value, ties
+        by row index. Sorted once, on first use: the rows are locked."""
+        order = np.argsort(self.rows.T, axis=1, kind="stable")
+        order.setflags(write=False)
+        return order
 
     @property
     def n_rows(self) -> int:

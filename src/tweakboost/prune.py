@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import Ensemble, ensemble_margins, weight_trajectory
+from .boost import Ensemble, ensemble_margins, staged_predictions, weight_trajectory
 from .data import Dataset
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "PruneReport",
     "select_kprime_alpha_mass",
     "select_kprime_trajectory",
+    "trajectory_fits",
     "combine_reports",
     "agreement_rate",
     "margin_certificate",
@@ -104,6 +105,19 @@ def select_kprime_trajectory(e: Ensemble, i: int, window: int = DEFAULT_WINDOW,
     return PruneReport(
         k_prime=k, strategy="trajectory", mass_captured=_mass_at(e, k), params=params
     )
+
+
+def trajectory_fits(e: Ensemble, i: int, x, label: int) -> bool:
+    """True when training row i's stored weight trajectory can belong to the
+    instance x with true label `label`: in every round k the stored ratio
+    w_k[i] / w_{k-1}[i] equals e^{alpha_k miss_k} / ((1 - err_k) + err_k e^{alpha_k})
+    within rtol 1e-9, where miss_k is x's staged prediction against label.
+    A row of another dataset read at index i does not fit."""
+    w = weight_trajectory(e, i)  # validates i
+    miss = staged_predictions(e, x) != label
+    err = e.staged_errors
+    ratio = np.exp(e.alphas * miss) / ((1.0 - err) + err * np.exp(e.alphas))
+    return bool(np.allclose(w[1:], w[:-1] * ratio, rtol=1e-9, atol=0.0))
 
 
 def combine_reports(a: PruneReport, b: PruneReport) -> PruneReport:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweakboost import make_dataset
+from tweakboost import make_dataset, make_demo_dataset, model_to_dict, train_adaboost
 from tweakboost.cart import (
     MIN_LEAF_WEIGHT,
     Internal,
@@ -90,6 +90,96 @@ def oracle_impurity_of(X, y, w, f, thr):
     return imp
 
 
+# -------------------------------------------------- reference fit
+
+def reference_best_split(X, y, w, idx, min_leaf_weight):
+    """The split search as it was before the per-dataset sort: each node
+    re-sorts every feature (stable, over its ascending row indices) and
+    scans the features one by one. First strict improvement wins."""
+    best = None
+    pos_mask = y[idx] == 1
+    wp = np.where(pos_mask, w[idx], 0.0)
+    wn = np.where(pos_mask, 0.0, w[idx])
+    for f in range(X.shape[1]):
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        if vs[0] == vs[-1]:
+            continue  # constant within node
+        cp = np.cumsum(wp[order])
+        cn = np.cumsum(wn[order])
+        cut = np.nonzero(vs[:-1] < vs[1:])[0]
+        pl, nl = cp[cut], cn[cut]
+        pr, nr = cp[-1] - pl, cn[-1] - nl
+        tl, tr = pl + nl, pr + nr
+        ok = (tl >= min_leaf_weight) & (tr >= min_leaf_weight) & (tl > 0) & (tr > 0)
+        if not np.any(ok):
+            continue
+        imp = np.full(cut.shape, np.inf)
+        imp[ok] = (tl[ok] - (pl[ok] ** 2 + nl[ok] ** 2) / tl[ok]) + (
+            tr[ok] - (pr[ok] ** 2 + nr[ok] ** 2) / tr[ok]
+        )
+        i = int(np.argmin(imp))  # first minimum -> lowest threshold
+        if best is None or imp[i] < best[0]:
+            best = (float(imp[i]), f, float(0.5 * (vs[cut[i]] + vs[cut[i] + 1])))
+    return best
+
+
+def reference_fit_tree(ds, sample_weights, max_depth, min_leaf_weight=MIN_LEAF_WEIGHT):
+    """fit_tree on top of reference_best_split. Only the nodes are built;
+    depth and n_leaves, which tree_to_dict does not read, stay 0."""
+    w = np.asarray(sample_weights, dtype=np.float64)
+    X, y = ds.rows, ds.labels
+
+    def leaf(pos, neg):
+        total = pos + neg
+        return Leaf(1 if pos > neg else -1, float(max(pos, neg) / total) if total > 0 else 1.0)
+
+    def build(idx, depth):
+        pos = float(w[idx][y[idx] == 1].sum())
+        neg = float(w[idx][y[idx] == -1].sum())
+        total = pos + neg
+        if depth >= max_depth or pos == 0.0 or neg == 0.0:
+            return leaf(pos, neg)
+        found = reference_best_split(X, y, w, idx, min_leaf_weight)
+        if found is None:
+            return leaf(pos, neg)
+        imp_children, f, thr = found
+        if not imp_children < total - (pos**2 + neg**2) / total:
+            return leaf(pos, neg)
+        go_left = X[idx, f] <= thr
+        return Internal(f, thr, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
+
+    return Tree(root=build(np.arange(ds.n_rows), 0), depth=0, n_leaves=0)
+
+
+def test_fit_tree_matches_reference_fit():
+    rng = np.random.default_rng(2024)
+    for trial in range(150):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        X = rng.integers(0, rng.integers(1, 6), size=(n, d)).astype(float)  # many duplicates
+        X[:, rng.integers(0, d)] = 3.0  # a constant column
+        if rng.random() < 0.5:
+            X = X + np.round(rng.normal(size=(n, d)), 1)
+        y = rng.choice([-1, 1], size=n)
+        w = rng.pareto(1.0, size=n) + 1e-12  # skewed
+        w /= w.sum()
+        mlw = float(rng.choice([MIN_LEAF_WEIGHT, 0.05, 0.2, 0.45]))
+        ds = make_dataset(X, y, [f"f{i}" for i in range(d)])
+        for depth in (1, 3):
+            got = fit_tree(ds, w, max_depth=depth, min_leaf_weight=mlw)
+            want = reference_fit_tree(ds, w, depth, mlw)
+            assert tree_to_dict(got) == tree_to_dict(want), (trial, depth, mlw)
+
+
+@pytest.mark.parametrize("depth, K", [(4, 30), (6, 20)])
+def test_boosted_models_match_reference_fit(monkeypatch, depth, K):
+    ds = make_demo_dataset()
+    got = model_to_dict(train_adaboost(ds, K=K, max_depth=depth))
+    monkeypatch.setattr("tweakboost.boost.fit_tree", reference_fit_tree)
+    assert model_to_dict(train_adaboost(ds, K=K, max_depth=depth)) == got
+
+
 def test_split_tie_breaks_to_lower_feature_and_threshold():
     # both features separate perfectly; expect feature 0
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -167,6 +257,8 @@ def test_fit_tree_validates_weights(tiny_ds):
         fit_tree(tiny_ds, np.full(n, 1.0), max_depth=1)
     with pytest.raises(ValueError, match="negative"):
         fit_tree(tiny_ds, np.array([1.5, -0.5, 0, 0, 0, 0]), max_depth=1)
+    with pytest.raises(ValueError, match="finite"):  # NaN slips past both checks above
+        fit_tree(tiny_ds, np.array([np.nan, 0.2, 0.2, 0.2, 0.2, 0.2]), max_depth=2)
     with pytest.raises(ValueError, match="length"):
         fit_tree(tiny_ds, np.full(n + 1, 1 / (n + 1)), max_depth=1)
     with pytest.raises(ValueError, match="max_depth"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tweakboost import load_model, make_dataset, save_csv, save_model
+from tweakboost import load_model, make_dataset, make_demo_dataset, save_csv, save_model
 from tweakboost.cli import main, parse_prune_spec
 
 from conftest import desk_ensemble, leaf_tree, stump
@@ -134,6 +134,19 @@ def test_explain_trajectory_prune_on_training_row(demo_model_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["k_prime_used"] is not None
+
+
+@pytest.mark.parametrize("spec", ["trajectory:3,0.5", "both:0.9,3,0.5"])
+def test_explain_trajectory_prune_on_other_data_is_data_error(tmp_path, demo_model_path,
+                                                               capsys, spec):
+    # row 3 of other data must not borrow training row 3's weight trajectory
+    other = tmp_path / "other.csv"
+    save_csv(make_demo_dataset(seed=99), other)
+    argv = ["explain", "--model", str(demo_model_path), "--row", "3", "--prune", spec]
+    assert run(argv + ["--data", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "trajectory" in err and len(err.strip().splitlines()) == 1
+    assert run(argv + ["--demo"]) == 0
 
 
 def test_explain_inline_instance_skips_trajectory_prune(demo_model_path, capsys):

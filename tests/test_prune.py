@@ -5,13 +5,14 @@ from tweakboost import (
     agreement_rate,
     combine_reports,
     make_dataset,
+    make_demo_dataset,
     margin_certificate,
     predict_ensemble,
     select_kprime_alpha_mass,
     select_kprime_trajectory,
     train_adaboost,
 )
-from tweakboost.prune import alpha_report_rows, trajectory_report_rows
+from tweakboost.prune import alpha_report_rows, trajectory_fits, trajectory_report_rows
 
 from conftest import desk_ensemble, random_learnable_dataset, stump
 
@@ -107,6 +108,15 @@ def test_trajectory_validates_args():
 
 
 # -------------------------------------------------- combination
+
+def test_trajectory_fits_training_rows_only(demo_model, demo_ds):
+    other = make_demo_dataset(seed=99)
+    for i in range(demo_ds.n_rows):
+        x, y = demo_ds.rows[i], int(demo_ds.labels[i])
+        assert trajectory_fits(demo_model, i, x, y)
+        assert not trajectory_fits(demo_model, i, x, -y)
+        assert not trajectory_fits(demo_model, i, other.rows[i], int(other.labels[i]))
+
 
 def test_combine_takes_conservative_max():
     e = ensemble_with_alphas([3.0, 1.0, 1.0, 1.0])
