@@ -217,11 +217,17 @@ def ensemble_margins(e: Ensemble, X: np.ndarray, upto: int | None = None) -> np.
     m = np.zeros(X.shape[0])
     step = max(1, _MARGIN_CELLS // max(upto, 1))
     for start in range(0, X.shape[0], step):
-        signs = e.flat.signs(X[start:start + step], upto)
-        block = m[start:start + step]
-        for k in range(upto):
-            block += e.alphas[k] * signs[k]
+        m[start:start + step] = vote_sum(e.alphas[:upto], e.flat.signs(X[start:start + step], upto))
     return m
+
+
+def vote_sum(alphas: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_k alphas[k] * signs[k] over the tree axis of (k, n) signs, added
+    in tree order. cumsum adds sequentially, so each margin is bit-identical
+    to a loop from 0.0 (alphas @ signs is not: BLAS sums in another order)."""
+    if not len(alphas):
+        return np.zeros(signs.shape[1])
+    return np.cumsum(alphas[:, None] * signs, axis=0)[-1]
 
 
 def staged_predictions(e: Ensemble, x) -> np.ndarray:
@@ -269,12 +275,15 @@ def model_to_dict(e: Ensemble) -> dict:
 
 
 def model_from_dict(d: dict) -> Ensemble:
-    """Inverse of model_to_dict. A malformed or inconsistent model (tree
-    nodes outside the schema's features, non-finite thresholds, leaf signs
-    other than +-1, non-positive stage weights) raises ValueError."""
+    """Inverse of model_to_dict. A malformed or inconsistent model (no
+    trees, tree nodes outside the schema's features, non-finite thresholds,
+    leaf signs other than +-1, non-positive stage weights) raises
+    ValueError."""
     version = d.get("version")
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version!r}, expected {MODEL_VERSION!r}")
+    if not d["trees"]:
+        raise ValueError("model has no trees")
     schema = [
         FeatureSchema(
             name=s["name"],

@@ -8,10 +8,12 @@ search sorts each feature once per dataset, not per node.
 
 fit_tree builds node objects, which the JSON form round-trips. Every
 evaluation reads the flat form instead (flatten): padded per-tree node
-arrays that route many rows through many trees in depth numpy steps, and a
-leaf-box table that holds each leaf's root-to-leaf path as per-feature
-intervals. predict_tree, enumerate_paths and path_to_box walk the node
-objects and serve as references for the flat form.
+arrays in paired-slot layout (a node's two children in adjacent slots, so
+one child-slot array and one comparison route a row a level down) that
+route many rows through many trees in depth numpy steps, and a leaf-box
+table that holds each leaf's root-to-leaf path as per-feature intervals.
+predict_tree, enumerate_paths and path_to_box walk the node objects and
+serve as references for the flat form.
 """
 
 from __future__ import annotations
@@ -212,10 +214,13 @@ def predict_tree(t: Tree, x) -> int:
 class FlatTrees:
     """Trees as flat arrays.
 
-    Node arrays are (K, W), padded to the widest tree; left/right hold
-    tree-local node ids. A leaf has feature -1, threshold NaN (so routing
-    goes right) and itself as both children, so extra routing steps stay
-    put. sign is the leaf sign, 0 at internal nodes.
+    Node arrays are (K, W), padded to the widest tree, in paired-slot
+    layout: the root is slot 0 and the two children of an internal node sit
+    in adjacent slots, first[j] (left) and first[j] + 1 (right), tree-local.
+    A routing step is then at = first[at] + (not value <= threshold[at]). A
+    leaf or padding slot j has feature -1, threshold NaN and first j - 1, so
+    its comparison fails and the step leaves it at j; a NaN input goes right
+    the same way. sign is the leaf sign, 0 at internal and padding slots.
 
     The leaf-box table has one row per leaf, in tree order and left-to-right
     leaf order within a tree: the leaf's path as the box (lower, upper] per
@@ -225,8 +230,7 @@ class FlatTrees:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    first: np.ndarray
     sign: np.ndarray
     depth: int
     lower: np.ndarray
@@ -240,64 +244,89 @@ class FlatTrees:
         """(upto, n) leaf signs of the first `upto` trees (all by default)
         for the n rows of X, in `depth` steps over all trees at once."""
         k = self.feature.shape[0] if upto is None else upto
-        feature, threshold = self.feature.ravel(), self.threshold.ravel()
-        left, right = self.left.ravel(), self.right.ravel()
-        rows = np.arange(X.shape[0])
+        feature, threshold, first = self.feature.ravel(), self.threshold.ravel(), self.first.ravel()
+        values, rows = X.ravel(), np.arange(X.shape[0]) * X.shape[1]  # X[i, f] is values[rows[i] + f]
         base = np.arange(k)[:, None] * self.feature.shape[1]
-        node = np.zeros((k, X.shape[0]), dtype=np.int64)
-        for _ in range(self.depth):
-            at = base + node
-            node = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
-        return self.sign.ravel()[base + node]
+        at = np.broadcast_to(base, (k, X.shape[0]))
+        for _ in range(self.depth):  # take, not [], which is slower on these small gathers
+            at = base + first.take(at) + ~(values.take(rows + feature.take(at)) <= threshold.take(at))
+        return self.sign.take(at)
 
 
 def flatten(trees: list[Tree], n_features: int) -> FlatTrees:
-    """Compile trees into FlatTrees, one iterative preorder walk per tree."""
-    nodes, boxes, depth = [], [], 0
-    for k, t in enumerate(trees):
-        feat, thr, left, right, sign = cols = ([], [], [], [], [])
+    """Compile trees into FlatTrees.
+
+    One depth-first walk per tree lays out the slots (each internal node
+    claims the next two free slots for its children) and lists the leaves
+    left to right. The leaf-box table is then built with numpy, one
+    ancestor level per step for all leaves of all trees at once.
+    """
+    feature, threshold, first, size, leaves, leaf_sign, path_index = [], [], [], [], [], [], []
+    for t in trees:
+        start = len(feature)
+        feature.append(-1)
+        threshold.append(math.nan)
+        first.append(0)
         n_paths = {-1: 0, 1: 0}
-        stack = [(t.root, None, 0, np.full(n_features, -np.inf), np.full(n_features, np.inf), 0)]
+        stack = [(t.root, 0)]
         while stack:  # the left child is popped first, so leaves come left to right
-            node, side, parent, lo, hi, d = stack.pop()
-            j = len(feat)
-            if side is not None:
-                side[parent] = j
-            left.append(j)
-            right.append(j)
-            depth = max(depth, d)
+            node, j = stack.pop()
             if isinstance(node, Leaf):
-                feat.append(-1)
-                thr.append(math.nan)
-                sign.append(node.sign)
-                boxes.append((lo, hi, node.sign, k, not np.any(lo >= hi), n_paths[node.sign]))
+                leaves.append(start + j)
+                leaf_sign.append(node.sign)
+                path_index.append(n_paths[node.sign])
                 n_paths[node.sign] += 1
                 continue
-            f = node.feature
-            feat.append(f)
-            thr.append(node.threshold)
-            sign.append(0)
-            lo_right, hi_left = lo.copy(), hi.copy()
-            lo_right[f] = max(lo[f], node.threshold)
-            hi_left[f] = min(hi[f], node.threshold)
-            stack.append((node.right, right, j, lo_right, hi, d + 1))
-            stack.append((node.left, left, j, lo, hi_left, d + 1))
-        nodes.append(cols)
-    width = max((len(cols[0]) for cols in nodes), default=1)
-    arrays = [np.full((len(trees), width), fill, dtype=type(fill))
-              for fill in (-1, math.nan, 0, 0, 0)]
-    for k, cols in enumerate(nodes):
-        for a, col in zip(arrays, cols):
-            a[k, :len(col)] = col
-    lo, hi, leaf_sign, tree, feasible, path = zip(*boxes) if boxes else ((),) * 6
+            c = len(feature) - start
+            feature[start + j] = node.feature
+            threshold[start + j] = node.threshold
+            first[start + j] = c
+            feature += (-1, -1)
+            threshold += (math.nan, math.nan)
+            first += (0, 0)
+            stack.append((node.right, c + 1))
+            stack.append((node.left, c))
+        size.append(len(feature) - start)
+    k, width = len(trees), max(size, default=1)
+    size = np.array(size, dtype=np.int64)
+    # slot i of the concatenated trees -> its padded index tree * width + local slot
+    padded = np.arange(len(feature)) + np.repeat(np.arange(k) * width - (np.cumsum(size) - size), size)
+    leaf = padded[np.array(leaves, dtype=np.int64)]
+    leaf_sign = np.array(leaf_sign, dtype=np.int64)
+    feat, thr, fst, sgn = (np.full(k * width, fill, dtype=type(fill)) for fill in (-1, math.nan, 0, 0))
+    feat[padded], thr[padded], fst[padded], sgn[leaf] = feature, threshold, first, leaf_sign
+    idle = feat < 0  # leaves and padding route to themselves
+    fst[idle] = np.flatnonzero(idle) % width - 1
+
+    # the leaf-box table: walk every leaf up to its root, one level per step
+    inner = np.flatnonzero(~idle)
+    parent = np.full(k * width, -1)
+    parent[inner - inner % width + fst[inner]] = inner
+    parent[inner - inner % width + fst[inner] + 1] = inner
+    lower = np.full((leaf.size, n_features), -np.inf)
+    upper = np.full((leaf.size, n_features), np.inf)
+    box, node, depth = np.arange(leaf.size), leaf, 0
+    while True:
+        up = parent[node]
+        live = up >= 0
+        if not live.any():
+            break
+        depth += 1
+        box, node, up = box[live], node[live], up[live]
+        f, t = feat[up], thr[up]
+        left = node % width == fst[up]  # went left: value <= t, else value > t
+        for bound, side, tighter in ((upper, left, np.minimum), (lower, ~left, np.maximum)):
+            b, fs = box[side], f[side]
+            bound[b, fs] = tighter(bound[b, fs], t[side])
+        node = up
     return FlatTrees(
-        *arrays, depth,
-        lower=np.array(lo, dtype=np.float64).reshape(len(boxes), n_features),
-        upper=np.array(hi, dtype=np.float64).reshape(len(boxes), n_features),
-        leaf_sign=np.array(leaf_sign, dtype=np.int64),
-        tree=np.array(tree, dtype=np.int64),
-        feasible=np.array(feasible, dtype=bool),
-        path_index=np.array(path, dtype=np.int64),
+        *(a.reshape(k, width) for a in (feat, thr, fst, sgn)), depth,
+        lower=lower,
+        upper=upper,
+        leaf_sign=leaf_sign,
+        tree=leaf // width,
+        feasible=~np.any(lower >= upper, axis=1),
+        path_index=np.array(path_index, dtype=np.int64),
     )
 
 

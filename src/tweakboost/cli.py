@@ -368,6 +368,8 @@ def cmd_verify(args) -> int:
         eps = EpsilonPolicy(mode=eps_mode, value=eps_value)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.n_instances < 1:
+        raise UsageError(f"--n-instances must be >= 1, got {args.n_instances}")
     e = _load_model_or_die(args.model)
     ds = _load_dataset(args)
     if ds.n_features != e.n_features:

@@ -10,7 +10,7 @@ positive paths in negative-voting trees and negative paths in positive ones.
 
 The search reads the ensemble's leaf-box table (cart.FlatTrees) and works
 on all boxes at once: one epsilon step, one margin pass, one distance
-vector per instance.
+vector per instance, kept as parallel arrays (Candidates).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import Ensemble, ensemble_margins, predict_ensemble
+from .boost import Ensemble, ensemble_margins, predict_ensemble, vote_sum
 from .cart import FeasibleBox, Path, path_to_box
 from .data import FeatureSchema
 
@@ -31,6 +31,7 @@ __all__ = [
     "GridGuardError",
     "EpsilonPolicy",
     "Candidate",
+    "Candidates",
     "Counterfactual",
     "NotFound",
     "epsilon_transform",
@@ -65,8 +66,8 @@ class EpsilonPolicy:
     def __post_init__(self):
         if self.mode not in ("absolute", "range_scaled"):
             raise ValueError(f"epsilon mode must be absolute|range_scaled, got {self.mode!r}")
-        if not self.value > 0:
-            raise ValueError(f"epsilon value must be > 0, got {self.value}")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"epsilon value must be finite and > 0, got {self.value}")
 
     def per_feature(self, schema: list[FeatureSchema]) -> np.ndarray:
         if self.mode == "absolute":
@@ -86,6 +87,36 @@ class Candidate:
     tweaked_features: frozenset[int]
     ensemble_verdict: int
     distance: float
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """All candidates of one instance as parallel arrays, one row each, in
+    ascending (tree, path) order; len(), indexing and iteration give
+    Candidate records, built on demand."""
+
+    values: np.ndarray  # (n, n_features) tweaked instances
+    tree_index: np.ndarray
+    path_index: np.ndarray
+    tweaked: np.ndarray  # (n, n_features), True where a feature was moved
+    ensemble_verdict: np.ndarray
+    distance: np.ndarray
+
+    def __len__(self) -> int:
+        return self.tree_index.shape[0]
+
+    def __getitem__(self, i: int) -> Candidate:
+        return Candidate(
+            values=self.values[i],
+            tree_index=int(self.tree_index[i]),
+            path_index=int(self.path_index[i]),
+            tweaked_features=frozenset(np.flatnonzero(self.tweaked[i]).tolist()),
+            ensemble_verdict=int(self.ensemble_verdict[i]),
+            distance=float(self.distance[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +207,7 @@ def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray,
 
 
 def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
-                        k_prime: int | None = None, norm: str = "L2_std") -> list[Candidate]:
+                        k_prime: int | None = None, norm: str = "L2_std") -> Candidates:
     """All epsilon-transform candidates from opposite-sign paths of trees
     that currently agree with the ensemble verdict, restricted to the first
     k_prime trees when given. Every candidate's verdict comes from the FULL
@@ -184,32 +215,22 @@ def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
     """
     values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
-    s, _ = predict_ensemble(e, values)
     if k_prime is not None and not 1 <= k_prime <= e.k:
         raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
     limit = e.k if k_prime is None else k_prime
     flat = e.flat
-    agrees = np.zeros(e.k, dtype=bool)
-    agrees[:limit] = flat.signs(values[None, :], limit)[:, 0] == s
+    votes = flat.signs(values[None, :])[:, 0]  # one routing gives the verdict and the agreeing trees
+    s = 1 if vote_sum(e.alphas, votes[:, None])[0] > 0 else -1
+    agrees = votes == s
+    agrees[limit:] = False
     boxes = np.flatnonzero(agrees[flat.tree] & (flat.leaf_sign == -s) & flat.feasible)
     moved, tweaked, ok = _epsilon_step(values, flat.lower[boxes], flat.upper[boxes],
                                        eps.per_feature(e.schema))
     boxes, moved, tweaked = boxes[ok], moved[ok], tweaked[ok]
-    if not boxes.size:
-        return []
     margins = ensemble_margins(e, moved)  # full ensemble, never truncated
-    dists = distance(values, moved, e.schema, norm)
-    return [
-        Candidate(
-            values=moved[i],
-            tree_index=int(flat.tree[b]),
-            path_index=int(flat.path_index[b]),
-            tweaked_features=frozenset(np.flatnonzero(tweaked[i]).tolist()),
-            ensemble_verdict=1 if margins[i] > 0 else -1,
-            distance=float(dists[i]),
-        )
-        for i, b in enumerate(boxes)
-    ]
+    return Candidates(values=moved, tree_index=flat.tree[boxes], path_index=flat.path_index[boxes],
+                      tweaked=tweaked, ensemble_verdict=np.where(margins > 0, 1, -1),
+                      distance=distance(values, moved, e.schema, norm))
 
 
 def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
@@ -236,12 +257,15 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
             f"provenance assertion failed: label {label:+d} but prediction {pred:+d}"
         )
     cands = generate_candidates(e, values, eps, k_prime=k_prime, norm=norm)
-    flipped = [c for c in cands if c.ensemble_verdict != pred]
-    if not flipped:
+    flipped = np.flatnonzero(cands.ensemble_verdict != pred)
+    if not flipped.size:
         return NotFound(n_candidates_evaluated=len(cands), k_prime_used=k_prime)
-    best = min(flipped, key=lambda c: (c.distance, c.tree_index, c.path_index))
-    return _counterfactual(values, best.values, best.distance, len(cands), k_prime_used=k_prime,
-                           source_tree=best.tree_index, source_path=best.path_index)
+    # every candidate has leaf sign -pred and they come in (tree, path) order,
+    # so the first minimum is the (distance, tree, path) minimum
+    best = flipped[np.argmin(cands.distance[flipped])]
+    return _counterfactual(values, cands.values[best], float(cands.distance[best]), len(cands),
+                           k_prime_used=k_prime, source_tree=int(cands.tree_index[best]),
+                           source_path=int(cands.path_index[best]))
 
 
 def _counterfactual(values: np.ndarray, new: np.ndarray, dist: float, n_eval: int,

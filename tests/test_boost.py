@@ -218,13 +218,17 @@ def test_ensemble_margins_matches_scalar_path():
     np.testing.assert_allclose(batch5, single5, atol=1e-12)
 
 
-def test_ensemble_margins_equal_tree_order_sum(demo_model, demo_ds):
-    X = demo_ds.rows[::4]
-    for upto in (None, 37):
-        want = np.zeros(X.shape[0])
-        for a, t in zip(demo_model.alphas[:upto], demo_model.trees[:upto]):
-            want += a * np.array([predict_tree(t, x) for x in X])
-        assert np.array_equal(ensemble_margins(demo_model, X, upto=upto), want)
+def test_ensemble_margins_equal_tree_order_sum(demo_model, deep_demo_model, demo_ds):
+    # the depth-6 rows span several row blocks of ensemble_margins at the
+    # prefixes 100 and 37 (a block holds 65536 // upto rows)
+    deep_rows = np.vstack([demo_ds.rows + shift for shift in (0.0, 0.05, -0.05)])
+    for model, X in ((demo_model, demo_ds.rows[::4]), (deep_demo_model, deep_rows)):
+        votes = [np.array([predict_tree(t, x) for x in X]) for t in model.trees]
+        for upto in (None, 100, 37, 1):
+            want = np.zeros(X.shape[0])
+            for a, h in zip(model.alphas[:upto], votes[:upto]):
+                want += a * h
+            assert np.array_equal(ensemble_margins(model, X, upto=upto), want)
 
 
 def test_staged_predictions_shape(tiny_ds):
@@ -276,7 +280,9 @@ def test_model_from_dict_rejects_invalid_models(tiny_ds):
     bad_tree["trees"][0]["feature"] = 99
     bad_alpha = {**d, "alphas": [-1.0]}
     nan_alpha = {**d, "alphas": [float("nan")]}
-    for doc, match in ((bad_tree, "feature"), (bad_alpha, "positive"), (nan_alpha, "finite")):
+    no_trees = {**d, "trees": [], "alphas": [], "staged_errors": [], "trajectories": [[1.0]]}
+    for doc, match in ((bad_tree, "feature"), (bad_alpha, "positive"), (nan_alpha, "finite"),
+                       (no_trees, "no trees")):
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
 

@@ -285,25 +285,51 @@ def test_flat_routing_of_uneven_trees_matches_predict_tree():
         depth=3, n_leaves=4,
     )
     trees = [Tree(root=Leaf(1, 1.0), depth=0, n_leaves=1), stump(1, 0.5, 1, -1), lopsided]
-    X = np.array([[x0, x1] for x0 in (0.0, 1.0, 2.0, 3.0, 4.0) for x1 in (0.0, 0.5, 2.0, 9.0)])
-    signs = flatten(trees, 2).signs(X)
-    assert np.array_equal(signs, [[predict_tree(t, x) for x in X] for t in trees])
+    values = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 9.0, np.nan)  # NaN fails every <= and goes right
+    X = np.array([[x0, x1] for x0 in values for x1 in values])
+    # all three together (the bare leaf and the stump padded to the lopsided
+    # tree's width), and each alone (K=1)
+    for group in [trees] + [[t] for t in trees]:
+        signs = flatten(group, 2).signs(X)
+        assert np.array_equal(signs, [[predict_tree(t, x) for x in X] for t in group])
 
 
-def test_leaf_box_table_matches_enumerate_paths(demo_model):
-    flat = demo_model.flat
-    for k, t in enumerate(demo_model.trees):
-        for sign in (-1, 1):
-            rows = np.flatnonzero((flat.tree == k) & (flat.leaf_sign == sign))
-            paths = enumerate_paths(t, sign, tree_index=k)
-            assert len(rows) == len(paths)
-            for r, p in zip(rows, paths):
-                box = path_to_box(p, demo_model.n_features)
-                assert flat.path_index[r] == p.path_index
-                assert np.array_equal(flat.lower[r], box.lower)
-                assert np.array_equal(flat.upper[r], box.upper)
-                assert flat.feasible[r] == box.feasible
-    assert np.array_equal(flat.tree, np.sort(flat.tree))  # tree order
+def test_flat_layout_pairs_children_and_parks_leaves():
+    lopsided = Tree(
+        root=Internal(0, 1.0, Leaf(-1, 1.0),
+                      Internal(1, 2.0, Leaf(1, 1.0), Leaf(-1, 1.0))),
+        depth=2, n_leaves=3,
+    )
+    flat = flatten([Tree(root=Leaf(1, 1.0), depth=0, n_leaves=1), lopsided], 2)
+    slots = np.arange(5)
+    # bare leaf: its root parks on itself, the other four slots are padding
+    assert np.array_equal(flat.feature[0], [-1] * 5)
+    assert np.array_equal(flat.first[0], slots - 1)
+    assert np.array_equal(flat.sign[0], [1, 0, 0, 0, 0])
+    # lopsided: root's children in slots 1-2, the right child's in 3-4
+    assert np.array_equal(flat.feature[1], [0, -1, 1, -1, -1])
+    assert np.array_equal(flat.first[1], [1, 0, 3, 2, 3])
+    assert np.array_equal(flat.sign[1], [0, -1, 0, 1, -1])
+    assert np.array_equal(np.isnan(flat.threshold), flat.feature < 0)
+    assert flat.depth == 2
+
+
+def test_leaf_box_table_matches_enumerate_paths(demo_model, deep_demo_model):
+    for model in (demo_model, deep_demo_model):
+        flat = model.flat
+        for k, t in enumerate(model.trees):
+            for sign in (-1, 1):
+                rows = np.flatnonzero((flat.tree == k) & (flat.leaf_sign == sign))
+                paths = enumerate_paths(t, sign, tree_index=k)
+                assert len(rows) == len(paths)
+                for r, p in zip(rows, paths):
+                    box = path_to_box(p, model.n_features)
+                    assert flat.path_index[r] == p.path_index
+                    assert np.array_equal(flat.lower[r], box.lower)
+                    assert np.array_equal(flat.upper[r], box.upper)
+                    assert flat.feasible[r] == box.feasible
+        assert np.array_equal(flat.tree, np.sort(flat.tree))  # tree order
+        assert flat.depth == max(t.depth for t in model.trees)
 
 
 # -------------------------------------------------- path enumeration

@@ -234,6 +234,29 @@ def test_explain_not_found_is_exit_zero(tmp_path, capsys):
     assert "epsilon" in payload["message"]
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_explain_non_finite_epsilon_is_usage_error(demo_model_path, capsys, bad):
+    assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "1",
+                f"--epsilon={bad}"]) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_model_without_trees_is_data_error(tmp_path, demo_model_path, capsys):
+    doc = json.loads(demo_model_path.read_text())
+    doc.update(trees=[], alphas=[], staged_errors=[], trajectories=[doc["trajectories"][0]])
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(empty), "--demo", "--row", "1",
+                "--prune", "alpha-mass:0.5"]) == 2
+    assert run(["report-alphas", "--model", str(empty), "--out", str(tmp_path / "a.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "no trees" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_explain_rerun_output_is_byte_identical(tmp_path, demo_model_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["explain", "--model", str(demo_model_path), "--demo", "--row", "5"]
@@ -320,6 +343,19 @@ def test_verify_small_model(tmp_path, small_csv, capsys):
     assert "instance,explain_distance,oracle_distance,agree" in text
     assert "soundness violations 0" in text
     assert out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_needs_at_least_one_instance(tmp_path, small_csv, capsys, n):
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", str(small_csv), "--k", "3", "--depth", "2",
+                "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--model", str(model), "--data", str(small_csv),
+                "--n-instances", n]) == 1
+    captured = capsys.readouterr()
+    assert "--n-instances" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_oversized_grid(tmp_path, demo_model_path):

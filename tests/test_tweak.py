@@ -41,6 +41,9 @@ def test_epsilon_policy_validation():
         EpsilonPolicy(value=0.0)
     with pytest.raises(ValueError):
         EpsilonPolicy(value=-1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EpsilonPolicy(mode="absolute", value=bad)
 
 
 def test_epsilon_per_feature_scaling():
@@ -392,6 +395,47 @@ def test_explain_tie_breaks_by_tree_then_path():
     res = explain(e, np.array([2.0, 0.0]), EPS_ABS)
     assert isinstance(res, Counterfactual)
     assert (res.source_tree, res.source_path) == (0, 0)
+
+
+def reference_explain(e, x, eps, k_prime=None):
+    """The closest flip by (distance, tree, path), over Candidate records."""
+    pred = predict_ensemble(e, x)[0]
+    flipped = [c for c in generate_candidates(e, x, eps, k_prime=k_prime)
+               if c.ensemble_verdict != pred]
+    return min(flipped, key=lambda c: (c.distance, c.tree_index, c.path_index), default=None)
+
+
+def assert_explain_is_reference_minimum(e, rows, eps, k_prime=None):
+    for x in rows:
+        res, want = explain(e, x, eps, k_prime=k_prime), reference_explain(e, x, eps, k_prime)
+        if want is None:
+            assert isinstance(res, NotFound)
+            continue
+        assert (res.source_tree, res.source_path) == (want.tree_index, want.path_index)
+        assert res.distance == want.distance
+        np.testing.assert_array_equal(res.transformed, want.values)
+
+
+def test_explain_matches_reference_minimum_on_demo_models(demo_model, deep_demo_model, demo_ds):
+    eps = EpsilonPolicy()
+    assert_explain_is_reference_minimum(demo_model, demo_ds.rows[::20], eps)
+    assert_explain_is_reference_minimum(deep_demo_model, demo_ds.rows[3::20], eps)
+    k_prime = select_kprime_alpha_mass(deep_demo_model, 0.8).k_prime
+    assert_explain_is_reference_minimum(deep_demo_model, demo_ds.rows[7::20], eps, k_prime)
+
+
+def test_explain_exact_distance_tie_goes_to_the_lower_tree():
+    # two flips at exactly the same distance on different features
+    e = desk_ensemble([stump(0, 5.0, -1, 1), stump(1, 5.0, -1, 1), leaf_tree(1)],
+                      [0.5, 0.5, 0.4])
+    x = np.array([4.0, 4.0])
+    cands = generate_candidates(e, x, EPS_ABS)
+    assert cands.distance[0] == cands.distance[1]
+    assert list(cands.ensemble_verdict) == [1, 1]
+    res = explain(e, x, EPS_ABS)
+    assert (res.source_tree, res.source_path) == (0, 0)
+    np.testing.assert_array_equal(res.transformed, [5.1, 4.0])
+    assert_explain_is_reference_minimum(e, [x], EPS_ABS)
 
 
 def test_explain_distance_never_improves_under_truncation():
