@@ -18,6 +18,7 @@ import argparse
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -370,6 +371,10 @@ def cmd_verify(args) -> int:
         raise UsageError(str(exc))
     if args.n_instances < 1:
         raise UsageError(f"--n-instances must be >= 1, got {args.n_instances}")
+    if args.resolution < 1:
+        raise UsageError(f"--resolution must be >= 1, got {args.resolution}")
+    if not (math.isfinite(args.slack) and args.slack >= 0):
+        raise UsageError(f"--slack must be finite and >= 0, got {args.slack}")
     e = _load_model_or_die(args.model)
     ds = _load_dataset(args)
     if ds.n_features != e.n_features:

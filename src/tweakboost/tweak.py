@@ -15,7 +15,6 @@ vector per instance, kept as parallel arrays (Candidates).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +92,8 @@ class Candidate:
 class Candidates:
     """All candidates of one instance as parallel arrays, one row each, in
     ascending (tree, path) order; len(), indexing and iteration give
-    Candidate records, built on demand."""
+    Candidate records, built on demand. verdict is the instance's own
+    full-ensemble verdict, from the same routing that chose the trees."""
 
     values: np.ndarray  # (n, n_features) tweaked instances
     tree_index: np.ndarray
@@ -101,6 +101,7 @@ class Candidates:
     tweaked: np.ndarray  # (n, n_features), True where a feature was moved
     ensemble_verdict: np.ndarray
     distance: np.ndarray
+    verdict: int
 
     def __len__(self) -> int:
         return self.tree_index.shape[0]
@@ -230,7 +231,7 @@ def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
     margins = ensemble_margins(e, moved)  # full ensemble, never truncated
     return Candidates(values=moved, tree_index=flat.tree[boxes], path_index=flat.path_index[boxes],
                       tweaked=tweaked, ensemble_verdict=np.where(margins > 0, 1, -1),
-                      distance=distance(values, moved, e.schema, norm))
+                      distance=distance(values, moved, e.schema, norm), verdict=s)
 
 
 def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
@@ -246,8 +247,8 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
     """
     eps = eps or EpsilonPolicy()
     values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
-    pred, _ = predict_ensemble(e, values)
+    cands = generate_candidates(e, values, eps, k_prime=k_prime, norm=norm)
+    pred = cands.verdict  # the routing that chose the trees also gave the verdict
     if target is not None and target == pred:
         raise ValueError(
             f"instance is already predicted {pred:+d}; the request must target the opposite class"
@@ -256,7 +257,6 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
         raise ValueError(
             f"provenance assertion failed: label {label:+d} but prediction {pred:+d}"
         )
-    cands = generate_candidates(e, values, eps, k_prime=k_prime, norm=norm)
     flipped = np.flatnonzero(cands.ensemble_verdict != pred)
     if not flipped.size:
         return NotFound(n_candidates_evaluated=len(cands), k_prime_used=k_prime)
@@ -279,7 +279,12 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
                        norm: str = "L2_std") -> Counterfactual | NotFound:
     """Independent verifier: exhaustively evaluate every grid point that
     differs from x and return the flipping point of minimum distance.
-    Used only by tests and the verify command."""
+    Used only by tests and the verify command.
+
+    A feature's split thresholds cut its axis into cells whose values take
+    the same branch at every node (a value equal to a threshold goes left),
+    so one representative per cell of the threshold lattice is routed and
+    every grid point gets its cell's margin, bit for bit."""
     values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
     if len(grid) != e.n_features:
@@ -287,12 +292,13 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     if math.prod(len(axis) for axis in grid) > GRID_GUARD:
         raise GridGuardError(f"grid size exceeds the {GRID_GUARD} point guard")
     pred, _ = predict_ensemble(e, values)
-    pts = np.array(list(itertools.product(*[np.asarray(a, dtype=np.float64) for a in grid])))
+    axes = [np.asarray(a, dtype=np.float64) for a in grid]
+    pts = _product(axes)  # C order: the last axis varies fastest
     differs = np.any(pts != values, axis=1)
     pts = pts[differs]
     if pts.shape[0] == 0:
         return NotFound(n_candidates_evaluated=0)
-    margins = ensemble_margins(e, pts)
+    margins = _lattice_margins(e, axes)[differs]
     verdicts = np.where(margins > 0, 1, -1)
     flip = verdicts != pred
     n_eval = int(pts.shape[0])
@@ -302,6 +308,27 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     dists = distance(values, flipping, e.schema, norm)
     i = int(np.argmin(dists))  # first minimum: deterministic in product order
     return _counterfactual(values, flipping[i], float(dists[i]), n_eval)
+
+
+def _product(axes: list[np.ndarray]) -> np.ndarray:
+    """Every point of the product grid of axes, one per row, in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _lattice_margins(e: Ensemble, axes: list[np.ndarray]) -> np.ndarray:
+    """Margins of every point of the product grid of axes, in C order, from
+    one routed representative per threshold-lattice cell: the first axis
+    value in the cell."""
+    flat = e.flat
+    reps, cells = [], []
+    for f, axis in enumerate(axes):
+        cut = np.unique(flat.threshold[flat.feature == f])
+        _, first, cell = np.unique(np.searchsorted(cut, axis, side="left"),
+                                   return_index=True, return_inverse=True)
+        reps.append(axis[first])
+        cells.append(cell)
+    margins = ensemble_margins(e, _product(reps)).reshape([len(r) for r in reps])
+    return margins[np.ix_(*cells)].ravel()
 
 
 def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> list[np.ndarray]:

@@ -358,6 +358,30 @@ def test_verify_needs_at_least_one_instance(tmp_path, small_csv, capsys, n):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--slack", "nan"), ("--slack", "inf"), ("--slack", "-inf"), ("--slack", "-1"),
+    ("--resolution", "0"), ("--resolution", "-5"),
+])
+def test_verify_rejects_bad_slack_and_resolution(tmp_path, small_csv, capsys, flag, value):
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", str(small_csv), "--k", "3", "--depth", "2",
+                "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--model", str(model), "--data", str(small_csv),
+                f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and flag in captured.err
+    assert captured.out == ""
+
+
+def test_verify_accepts_zero_slack(tmp_path, small_csv, capsys):
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", str(small_csv), "--k", "3", "--depth", "2",
+                "--out", str(model)]) == 0
+    assert run(["verify", "--model", str(model), "--data", str(small_csv),
+                "--n-instances", "2", "--slack", "0", "--resolution", "1"]) == 0
+
+
 def test_verify_oversized_grid(tmp_path, demo_model_path):
     # 8 features at 50 points each blows straight through the guard
     code = run(["verify", "--model", str(demo_model_path), "--demo",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,20 @@ from tweakboost import (
     NotFound,
     brute_force_oracle,
     distance,
+    ensemble_margins,
     epsilon_transform,
     explain,
     generate_candidates,
+    make_dataset,
+    make_demo_dataset,
     oracle_grid,
     predict_ensemble,
     predict_tree,
     select_kprime_alpha_mass,
     train_adaboost,
 )
-from tweakboost.cart import Internal, Leaf, Path, PathCondition, enumerate_paths, path_to_box
+from tweakboost.cart import Internal, Leaf, Path, PathCondition, Tree, enumerate_paths, path_to_box
+from tweakboost.tweak import NORMS
 
 from conftest import desk_ensemble, leaf_tree, make_schema, random_learnable_dataset, stump
 
@@ -493,9 +499,11 @@ def test_explain_is_deterministic():
 def test_oracle_grid_with_x_only_is_not_found():
     e = desk_ensemble([stump(0, 2.5, -1, 1)], [1.0])
     x = np.array([1.0, 1.0])
-    res = brute_force_oracle(e, x, [np.array([1.0]), np.array([1.0])])
-    assert isinstance(res, NotFound)
-    assert res.n_candidates_evaluated == 0
+    for grid in ([np.array([1.0]), np.array([1.0])], [np.array([1.0, 1.0]), np.array([1.0])]):
+        res = brute_force_oracle(e, x, grid)
+        assert isinstance(res, NotFound)
+        assert res.n_candidates_evaluated == 0
+        assert_oracle_matches_reference(e, x, grid)
 
 
 def test_oracle_matches_explain_on_single_stump():
@@ -536,6 +544,102 @@ def test_oracle_validates_grid_arity():
     e = desk_ensemble([stump(0, 2.5, -1, 1)], [1.0])
     with pytest.raises(ValueError, match="axes"):
         brute_force_oracle(e, np.array([1.0, 1.0]), [np.array([1.0])])
+
+
+def reference_brute_force_oracle(e, x, grid):
+    """The point-wise oracle: every product-grid point that differs from x
+    through every tree, then its result under each norm. The reshape gives
+    an empty axis an empty grid; a bare np.array of the empty product has no
+    feature axis."""
+    values = np.asarray(x, dtype=np.float64)
+    pred, _ = predict_ensemble(e, values)
+    pts = np.array(list(itertools.product(*[np.asarray(a, dtype=np.float64) for a in grid])),
+                   dtype=np.float64).reshape(-1, len(grid))
+    pts = pts[np.any(pts != values, axis=1)]
+    n_eval = int(pts.shape[0])
+    flipping = pts[np.where(ensemble_margins(e, pts) > 0, 1, -1) != pred]
+    results = {}
+    for norm in NORMS:
+        if not flipping.shape[0]:
+            results[norm] = NotFound(n_candidates_evaluated=n_eval)
+            continue
+        dists = distance(values, flipping, e.schema, norm)
+        i = int(np.argmin(dists))
+        results[norm] = Counterfactual(original=values, transformed=flipping[i], delta={},
+                                       distance=float(dists[i]), n_candidates_evaluated=n_eval)
+    return results
+
+
+def assert_oracle_matches_reference(e, x, grid):
+    for norm, want in reference_brute_force_oracle(e, x, grid).items():
+        got = brute_force_oracle(e, x, grid, norm=norm)
+        assert type(got) is type(want)
+        assert got.n_candidates_evaluated == want.n_candidates_evaluated
+        if isinstance(want, Counterfactual):
+            np.testing.assert_array_equal(got.transformed, want.transformed)
+            assert got.distance == want.distance
+
+
+@pytest.fixture(scope="module")
+def two_feature_model():
+    """Columns f0 and f3 of the demo generator under a smooth rule with 10%
+    label noise, boosted to K=50 at depth 3."""
+    demo = make_demo_dataset(n_rows=400, n_features=5, seed=7)
+    X = demo.rows[:, [0, 3]]
+    rule = np.tanh((X[:, 0] - 50.0) / 10.0) + 0.8 * np.sin(X[:, 1]) - 0.1 > 0
+    flip = np.random.default_rng(7).random(400) < 0.1
+    ds = make_dataset(X, np.where(rule != flip, 1, -1), ["f0", "f3"])
+    return train_adaboost(ds, K=50, max_depth=3), ds
+
+
+def test_oracle_matches_pointwise_reference_on_two_feature_model(two_feature_model):
+    e, ds = two_feature_model
+    assert e.k == 50 and e.n_features == 2
+    eps = EpsilonPolicy()
+    for i in range(0, ds.n_rows, 16):
+        x = ds.rows[i]
+        assert_oracle_matches_reference(e, x, oracle_grid(e, x, eps, resolution=50))
+
+
+def test_oracle_matches_pointwise_reference_on_hand_built_grids():
+    deep = Tree(root=Internal(0, 2.5, Internal(1, 1.0, Leaf(-1, 1.0), Leaf(1, 1.0)),
+                              Internal(0, 4.0, Leaf(1, 1.0), Leaf(-1, 1.0))),
+                depth=2, n_leaves=4)
+    other = Tree(root=Internal(1, 1.0, Leaf(1, 1.0), Internal(0, 2.5, Leaf(-1, 1.0), Leaf(1, 1.0))),
+                 depth=2, n_leaves=3)
+    # the same thresholds recur across trees; feature 2 splits at 0.0 only
+    e = desk_ensemble([deep, other, stump(0, 4.0, 1, -1), stump(2, 0.0, -1, 1)],
+                      [0.8, 0.6, 0.5, 0.45], n_features=3)
+    up, down = np.nextafter(2.5, np.inf), np.nextafter(4.0, -np.inf)
+    grid = [  # unsorted, duplicated, on and beside thresholds, infinite, beyond every threshold
+        np.array([3.0, 2.5, np.inf, 2.5, -np.inf, 7.0, 1.0, 100.0, up, down, 4.0, -3.0]),
+        np.array([1.0, 0.0, np.inf, 1.0, -5.0, np.nextafter(1.0, np.inf), 50.0]),
+        np.array([0.0, -np.inf, 5.0, 0.0, -0.0, np.nextafter(0.0, -np.inf)]),
+    ]
+    for x in ([1.0, 0.5, 0.0], [3.0, 1.0, 0.0], [2.5, 1.0, -1.0], [4.0, 2.0, 1.0],
+              [100.0, -5.0, 0.0], [2.5, 1.0, 0.0]):
+        assert_oracle_matches_reference(e, np.array(x), grid)
+
+
+def test_oracle_matches_pointwise_reference_on_one_feature_models():
+    e = desk_ensemble([stump(0, 2.5, -1, 1), stump(0, 4.0, 1, -1), stump(0, 2.5, -1, 1)],
+                      [0.5, 0.9, 0.7], n_features=1)
+    for x in (1.0, 2.5, 3.0, 4.0, 9.0):
+        assert_oracle_matches_reference(e, np.array([x]),
+                                        [np.array([4.0, 2.5, 3.0, -np.inf, 2.5, np.inf, 9.0])])
+    ds = random_learnable_dataset(np.random.default_rng(3), 80, 1)
+    e = train_adaboost(ds, K=12, max_depth=3)
+    for i in range(0, 80, 9):
+        x = ds.rows[i]
+        assert_oracle_matches_reference(e, x, oracle_grid(e, x, EpsilonPolicy(), resolution=30))
+
+
+def test_oracle_empty_axis_grid_is_not_found():
+    e = three_stump_ensemble()
+    x = np.array([2.0, 0.5])
+    for grid in ([np.array([]), np.array([0.5, 3.0])], [np.array([1.0, 3.0]), np.array([])]):
+        assert_oracle_matches_reference(e, x, grid)
+        assert brute_force_oracle(e, x, grid).n_candidates_evaluated == 0
 
 
 def test_oracle_grid_contains_instance_and_threshold_offsets():
