@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import FlatTrees, Tree, apply_tree, fit_tree, flatten, tree_from_dict, tree_to_dict
+from .cart import FlatTrees, Tree, flatten, grow_tree, tree_from_dict, tree_to_dict
 from .data import Dataset, FeatureSchema, write_text_atomic
 from . import cart
 
@@ -84,6 +84,8 @@ class Ensemble:
             raise ValueError("every trajectory row must sum to 1")
         if not np.all(np.isfinite(self.alphas) & (self.alphas > 0)):
             raise ValueError("alphas must be finite and positive")
+        if not np.all((self.staged_errors >= 0) & (self.staged_errors < 0.5)):  # NaN fails too
+            raise ValueError("staged errors must lie in [0, 0.5)")
 
     @functools.cached_property
     def flat(self) -> FlatTrees:
@@ -162,9 +164,8 @@ def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0,
     rows = [w.copy()]
 
     for k in range(1, K + 1):
-        tree = fit_tree(ds, w, max_depth=max_depth, min_leaf_weight=min_leaf_weight)
-        preds = apply_tree(tree, ds.rows)
-        miss = preds != ds.labels
+        tree, signs = grow_tree(ds, w, max_depth=max_depth, min_leaf_weight=min_leaf_weight)
+        miss = signs != ds.labels
         err = float(w[miss].sum())
         if err >= 0.5:
             log.warning(
@@ -275,10 +276,12 @@ def model_to_dict(e: Ensemble) -> dict:
 
 
 def model_from_dict(d: dict) -> Ensemble:
-    """Inverse of model_to_dict. A malformed or inconsistent model (no
-    trees, tree nodes outside the schema's features, non-finite thresholds,
-    leaf signs other than +-1, non-positive stage weights) raises
-    ValueError."""
+    """Inverse of model_to_dict. A malformed or inconsistent model (not a
+    JSON object, no trees, tree nodes outside the schema's features,
+    non-finite thresholds, leaf signs other than +-1, non-positive stage
+    weights, staged errors outside [0, 0.5)) raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
     version = d.get("version")
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version!r}, expected {MODEL_VERSION!r}")

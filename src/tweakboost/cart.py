@@ -6,6 +6,16 @@ feature values; impurity ties break toward (lower feature index, lower
 threshold); a leaf with equal weighted class mass predicts -1. The split
 search sorts each feature once per dataset, not per node.
 
+Trees grow level by level (grow_tree; SLIQ's breadth-first growth): one
+gather and one elementwise pass score the (feature, cut) pairs of every
+open node of a depth. Three steps stay per node, because their level-wide
+forms change the model's bits: the prefix sums (a level-wide cumsum minus
+each node's offset rounds differently), the argmin (ties go to the first
+minimum in the node's own (feature, cut) order) and the class sums (numpy's
+pairwise sum over the node's weights of one class, in ascending row order,
+groups differently over any other array). The grower also returns every
+training row's leaf sign, so boosting routes nothing.
+
 fit_tree builds node objects, which the JSON form round-trips. Every
 evaluation reads the flat form instead (flatten): padded per-tree node
 arrays in paired-slot layout (a node's two children in adjacent slots, so
@@ -124,36 +134,29 @@ def _leaf(pos: float, neg: float) -> Leaf:
     return Leaf(sign=sign, purity=float(purity))
 
 
-def _best_split(X: np.ndarray, wp: np.ndarray, wn: np.ndarray, order: np.ndarray,
-                min_leaf_weight: float):
-    """Score every (feature, midpoint) candidate of a node in one pass over
-    its (n_features, m) row order (each feature's rows by ascending value);
-    return (children_impurity, feature, threshold) of the best or None. The
-    first minimum in (feature, cut) order wins, so exact ties resolve to the
-    lowest feature index / lowest threshold."""
-    vs = X[order, np.arange(X.shape[1])[:, None]]
-    cp = np.cumsum(wp[order], axis=1)
-    cn = np.cumsum(wn[order], axis=1)
-    pl, nl = cp[:, :-1], cn[:, :-1]
-    pr, nr = cp[:, -1:] - pl, cn[:, -1:] - nl
-    tl, tr = pl + nl, pr + nr
-    ok = (vs[:, :-1] < vs[:, 1:]) & (tl >= min_leaf_weight) & (tr >= min_leaf_weight) \
-        & (tl > 0) & (tr > 0)  # cuts between distinct values, no light child
-    with np.errstate(divide="ignore", invalid="ignore"):
-        imp = np.where(ok, (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), np.inf)
-    f, i = np.unravel_index(np.argmin(imp), imp.shape)
-    if imp[f, i] == np.inf:
-        return None
-    return float(imp[f, i]), int(f), float(0.5 * (vs[f, i] + vs[f, i + 1]))
-
-
 def fit_tree(ds: Dataset, sample_weights, max_depth: int,
              min_leaf_weight: float = MIN_LEAF_WEIGHT) -> Tree:
-    """Greedy weighted-Gini CART fit.
+    """Greedy weighted-Gini CART fit (grow_tree without the training rows'
+    leaf signs).
 
     Splitting stops when the depth limit is reached, the node is pure, no
     split reduces impurity, or a child would carry weight < min_leaf_weight.
-    Nodes partition Dataset.feature_order, sorted once per dataset.
+    """
+    return grow_tree(ds, sample_weights, max_depth, min_leaf_weight)[0]
+
+
+def grow_tree(ds: Dataset, sample_weights, max_depth: int,
+              min_leaf_weight: float = MIN_LEAF_WEIGHT) -> tuple[Tree, np.ndarray]:
+    """fit_tree's tree and every training row's leaf sign, the (n_rows,)
+    array apply_tree would give for ds.rows, grown one level at a time.
+
+    A level's open rows sit in one (n_features + 1, m) array: row f holds
+    each open node's rows by ascending feature f (Dataset.feature_order,
+    partitioned), the last row holds them by ascending index, and each node
+    owns a contiguous block of columns. One gather and one elementwise pass
+    score every (feature, cut) pair of the level; the prefix sums, the
+    argmin and the class sums stay per node, so a node's numbers do not
+    depend on the other nodes of its level.
     """
     w = np.asarray(sample_weights, dtype=np.float64)
     if ds.n_rows == 0:
@@ -170,35 +173,107 @@ def fit_tree(ds: Dataset, sample_weights, max_depth: int,
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
     X, y = ds.rows, ds.labels
-    wp, wn = np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)
-    stats = {"depth": 0, "leaves": 0}
+    n = ds.n_rows
+    wpn = np.stack([np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)])
+    values, offsets = X.T.ravel(), np.arange(ds.n_features)[:, None] * n  # X[i, f] is values[f * n + i]
+    signs = np.empty(n, dtype=np.int64)
+    nodes: list = [None]  # a Leaf, or (feature, threshold, left id, right id) until built
+    # the level's new nodes: ids, rows (ascending within each node), sizes
+    ids, rows, sizes = [0], np.arange(n), [n]
+    order, left, right = np.vstack([ds.feature_order, rows]), None, None
+    depth = 0
+    while True:
+        # class sums: numpy's pairwise sum over the node's weights of one class
+        # in ascending row order (summing zero-filled weights rounds differently)
+        is_pos = y[rows] == 1
+        w_pos, w_neg = w[rows[is_pos]], w[rows[~is_pos]]
+        ends = np.cumsum(sizes)
+        n_pos = np.concatenate(([0], np.cumsum(is_pos)))
+        bounds = zip(ids, (ends - sizes).tolist(), ends.tolist(),
+                     n_pos[ends - sizes].tolist(), n_pos[ends].tolist())
+        is_open, open_ids, open_sums, open_sizes = [], [], [], []
+        for i, s, e, a, b in bounds:
+            pos, neg = float(np.add.reduce(w_pos[a:b])), float(np.add.reduce(w_neg[s - a:e - b]))
+            if depth >= max_depth or pos == 0.0 or neg == 0.0:
+                nodes[i] = _leaf(pos, neg)
+                signs[rows[s:e]] = nodes[i].sign
+            is_open.append(nodes[i] is None)
+            if is_open[-1]:
+                open_ids.append(i)
+                open_sums.append((pos, neg))
+                open_sizes.append(e - s)
+        if not open_ids:
+            break
+        if left is not None:  # the previous level's open rows -> the open children's
+            alive = np.zeros(n, dtype=bool)
+            alive[rows[np.repeat(is_open, sizes)]] = True
+            order = np.concatenate(
+                [order[side.take(order)].reshape(len(order), -1) for side in (left & alive, right & alive)],
+                axis=1)
 
-    def build(node: np.ndarray, order: np.ndarray, depth: int) -> Node:
-        pos = float(w[node & (y == 1)].sum())
-        neg = float(w[node & (y == -1)].sum())
-        total = pos + neg
-        stats["depth"] = max(stats["depth"], depth)
-        if depth >= max_depth or pos == 0.0 or neg == 0.0:
-            stats["leaves"] += 1
-            return _leaf(pos, neg)
-        found = _best_split(X, wp, wn, order, min_leaf_weight)
-        if found is None:
-            stats["leaves"] += 1
-            return _leaf(pos, neg)
-        imp_children, f, thr = found
-        imp_parent = total - (pos**2 + neg**2) / total if total > 0 else 0.0
-        if not imp_children < imp_parent:
-            stats["leaves"] += 1
-            return _leaf(pos, neg)
+        # score every (feature, cut) pair of the level; column j cuts between
+        # columns j and j + 1 of its node
+        ends = np.cumsum(open_sizes)
+        starts = ends - open_sizes
+        vs = values.take(order[:-1] + offsets)
+        wc = np.take(wpn, order[:-1], axis=1)
+        c = np.empty_like(wc)
+        for s, e in zip(starts.tolist(), ends.tolist()):  # prefix sums restart at every node
+            np.add.accumulate(wc[:, :, s:e], axis=2, out=c[:, :, s:e])
+        totals = c.take(np.repeat(ends - 1, open_sizes)[:-1], axis=2)  # at each node's last column
+        pl, nl = c[0, :, :-1], c[1, :, :-1]
+        pr, nr = totals[0] - pl, totals[1] - nl
+        tl, tr = pl + nl, pr + nr
+        # cuts between distinct values, no light child; a node's last column
+        # has tr == 0, so it is never a cut
+        ok = (vs[:, :-1] < vs[:, 1:]) & (tl >= min_leaf_weight) & (tr >= min_leaf_weight) \
+            & (tl > 0) & (tr > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            imp = np.where(ok, (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), np.inf)
 
-        def child(side: np.ndarray) -> Node:  # the side's rows keep their sorted order
-            return build(node & side, order[side[order]].reshape(len(order), -1), depth + 1)
+        feature, threshold, parents = [0] * len(open_ids), [0.0] * len(open_ids), []
+        for j, (i, (pos, neg), s, e) in enumerate(zip(open_ids, open_sums, starts.tolist(),
+                                                      ends.tolist())):
+            block = imp[:, s:e - 1]  # the first minimum in (feature, cut) order wins
+            f, cut = divmod(int(block.argmin()), e - 1 - s)
+            imp_children = float(block[f, cut])
+            total = pos + neg
+            if imp_children < total - (pos**2 + neg**2) / total:  # inf never is
+                feature[j], threshold[j] = f, float(0.5 * (vs[f, s + cut] + vs[f, s + cut + 1]))
+                parents.append(j)
+            else:
+                nodes[i] = _leaf(pos, neg)
+                signs[order[-1, s:e]] = nodes[i].sign
+        if not parents:
+            break
 
-        go_left = X[:, f] <= thr
-        return Internal(feature=f, threshold=thr, left=child(go_left), right=child(~go_left))
+        # route the split nodes' rows; their children are the next level's
+        # new nodes, all left children first
+        first, n_split = len(nodes), len(parents)
+        for k, j in enumerate(parents):
+            nodes[open_ids[j]] = (feature[j], threshold[j], first + k, first + n_split + k)
+        ids = list(range(first, first + 2 * n_split))
+        nodes += [None] * len(ids)
+        is_split = np.zeros(len(open_ids), dtype=bool)
+        is_split[parents] = True
+        rows = order[-1]
+        routed = np.repeat(is_split, open_sizes)
+        goes_left = X[rows, np.repeat(feature, open_sizes)] <= np.repeat(threshold, open_sizes)
+        to_left, to_right = routed & goes_left, routed & ~goes_left
+        left, right = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        left[rows], right[rows] = to_left, to_right
+        n_left = np.add.reduceat(to_left, starts, dtype=np.int64)[parents]
+        rows = np.concatenate([rows[to_left], rows[to_right]])
+        sizes = n_left.tolist() + (np.asarray(open_sizes)[parents] - n_left).tolist()
+        depth += 1
 
-    root = build(np.ones(ds.n_rows, dtype=bool), ds.feature_order, 0)
-    return Tree(root=root, depth=stats["depth"], n_leaves=stats["leaves"])
+    # children have higher ids than their parents, so build from the last id
+    for i in range(len(nodes) - 1, -1, -1):
+        if not isinstance(nodes[i], Leaf):
+            f, t, lid, rid = nodes[i]
+            nodes[i] = Internal(feature=f, threshold=t, left=nodes[lid], right=nodes[rid])
+    n_leaves = sum(isinstance(node, Leaf) for node in nodes)
+    return Tree(root=nodes[0], depth=depth, n_leaves=n_leaves), signs
 
 
 def predict_tree(t: Tree, x) -> int:

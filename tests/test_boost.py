@@ -281,10 +281,13 @@ def test_model_from_dict_rejects_invalid_models(tiny_ds):
     bad_alpha = {**d, "alphas": [-1.0]}
     nan_alpha = {**d, "alphas": [float("nan")]}
     no_trees = {**d, "trees": [], "alphas": [], "staged_errors": [], "trajectories": [[1.0]]}
+    bad_errors = [{**d, "staged_errors": [err]} for err in (float("nan"), float("inf"), -0.1, 0.5, 2.0)]
     for doc, match in ((bad_tree, "feature"), (bad_alpha, "positive"), (nan_alpha, "finite"),
-                       (no_trees, "no trees")):
+                       (no_trees, "no trees"), *((doc, "staged errors") for doc in bad_errors),
+                       ([], "JSON object"), (None, "JSON object"), ("model", "JSON object")):
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
+    assert model_from_dict({**d, "staged_errors": [0.0]}).staged_errors[0] == 0.0  # a perfect round
 
 
 def test_flat_form_is_compiled_on_first_use_only(tmp_path, tiny_ds):

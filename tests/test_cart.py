@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweakboost import make_dataset, make_demo_dataset, model_to_dict, train_adaboost
+from tweakboost import (
+    Ensemble,
+    alpha,
+    make_dataset,
+    make_demo_dataset,
+    model_to_dict,
+    train_adaboost,
+    update_weights,
+)
 from tweakboost.cart import (
     MIN_LEAF_WEIGHT,
     Internal,
@@ -15,6 +23,7 @@ from tweakboost.cart import (
     enumerate_paths,
     fit_tree,
     flatten,
+    grow_tree,
     path_to_box,
     predict_tree,
     tree_from_dict,
@@ -153,6 +162,39 @@ def reference_fit_tree(ds, sample_weights, max_depth, min_leaf_weight=MIN_LEAF_W
     return Tree(root=build(np.arange(ds.n_rows), 0), depth=0, n_leaves=0)
 
 
+def reference_train(ds, K, max_depth):
+    """train_adaboost's SAMME loop on reference_fit_tree, routing the training
+    rows with apply_tree."""
+    n = ds.n_rows
+    w = np.full(n, 1.0 / n)
+    trees, alphas, errors, rows = [], [], [], [w.copy()]
+    for _ in range(K):
+        tree = reference_fit_tree(ds, w, max_depth)
+        miss = apply_tree(tree, ds.rows) != ds.labels
+        err = float(w[miss].sum())
+        if err >= 0.5:
+            break
+        a = alpha(err)
+        trees.append(tree)
+        alphas.append(a)
+        errors.append(err)
+        w = update_weights(w, miss, a)
+        rows.append(w.copy())
+        if err == 0.0:
+            break
+    return Ensemble(trees=trees, alphas=np.array(alphas), trajectories=np.array(rows),
+                    staged_errors=np.array(errors), schema=list(ds.schema),
+                    config={"K": K, "max_depth": max_depth, "seed": 0})
+
+
+def tree_shape(node, depth=0):
+    """(depth, n_leaves) of a node tree, counted by walking it."""
+    if isinstance(node, Leaf):
+        return depth, 1
+    (dl, nl), (dr, nr) = tree_shape(node.left, depth + 1), tree_shape(node.right, depth + 1)
+    return max(dl, dr), nl + nr
+
+
 def test_fit_tree_matches_reference_fit():
     rng = np.random.default_rng(2024)
     for trial in range(150):
@@ -166,18 +208,28 @@ def test_fit_tree_matches_reference_fit():
         w /= w.sum()
         mlw = float(rng.choice([MIN_LEAF_WEIGHT, 0.05, 0.2, 0.45]))
         ds = make_dataset(X, y, [f"f{i}" for i in range(d)])
-        for depth in (1, 3):
-            got = fit_tree(ds, w, max_depth=depth, min_leaf_weight=mlw)
+        for depth in (1, 3, 8):
+            got, signs = grow_tree(ds, w, max_depth=depth, min_leaf_weight=mlw)
             want = reference_fit_tree(ds, w, depth, mlw)
             assert tree_to_dict(got) == tree_to_dict(want), (trial, depth, mlw)
+            assert (got.depth, got.n_leaves) == tree_shape(got.root), (trial, depth, mlw)
+            assert np.array_equal(signs, apply_tree(got, X)), (trial, depth, mlw)
+            assert tree_to_dict(fit_tree(ds, w, depth, mlw)) == tree_to_dict(got)
 
 
-@pytest.mark.parametrize("depth, K", [(4, 30), (6, 20)])
-def test_boosted_models_match_reference_fit(monkeypatch, depth, K):
+@pytest.mark.parametrize("depth, K", [(4, 30), (6, 20), (8, 10)])
+def test_boosted_models_match_reference_fit(depth, K):
     ds = make_demo_dataset()
     got = model_to_dict(train_adaboost(ds, K=K, max_depth=depth))
-    monkeypatch.setattr("tweakboost.boost.fit_tree", reference_fit_tree)
-    assert model_to_dict(train_adaboost(ds, K=K, max_depth=depth)) == got
+    assert got == model_to_dict(reference_train(ds, K, depth))
+
+
+def test_boosted_model_on_16000_rows_matches_reference_fit():
+    # a class sum over more elements than numpy's 8192-element buffer
+    ds = make_demo_dataset(n_rows=16000)
+    assert max(np.sum(ds.labels == 1), np.sum(ds.labels == -1)) > 8192
+    got = model_to_dict(train_adaboost(ds, K=3, max_depth=6))
+    assert got == model_to_dict(reference_train(ds, 3, 6))
 
 
 def test_split_tie_breaks_to_lower_feature_and_threshold():

@@ -257,6 +257,29 @@ def test_model_without_trees_is_data_error(tmp_path, demo_model_path, capsys):
     assert not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["[]", "null"])
+def test_model_that_is_not_a_json_object_is_data_error(tmp_path, small_csv, capsys, text):
+    bad = tmp_path / "m.json"
+    bad.write_text(text)
+    for argv in (["explain", "--model", str(bad), "--demo", "--row", "1"],
+                 ["verify", "--model", str(bad), "--data", str(small_csv)],
+                 ["report-alphas", "--model", str(bad), "--out", str(tmp_path / "a.csv")]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be a JSON object" in err, argv
+
+
+def test_model_with_invalid_staged_errors_is_data_error(tmp_path, demo_model_path, capsys):
+    doc = json.loads(demo_model_path.read_text())
+    doc["staged_errors"][1:3] = [float("nan"), 2.0]
+    bad = tmp_path / "bad_errors.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(bad), "--demo", "--row", "1",
+                "--prune", "trajectory"]) == 2
+    err = capsys.readouterr().err
+    assert "staged errors" in err and "trajectory" not in err
+
+
 def test_explain_rerun_output_is_byte_identical(tmp_path, demo_model_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["explain", "--model", str(demo_model_path), "--demo", "--row", "5"]
