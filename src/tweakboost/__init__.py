@@ -23,19 +23,7 @@ from .boost import (
     update_weights,
     weight_trajectory,
 )
-from .cart import (
-    FeasibleBox,
-    Internal,
-    Leaf,
-    Path,
-    PathCondition,
-    Tree,
-    apply_tree,
-    enumerate_paths,
-    fit_tree,
-    path_to_box,
-    predict_tree,
-)
+from .cart import Internal, Leaf, Tree, fit_tree
 from .data import (
     DataError,
     Dataset,
@@ -57,7 +45,6 @@ from .prune import (
     select_kprime_trajectory,
 )
 from .tweak import (
-    Candidate,
     Candidates,
     Counterfactual,
     EpsilonPolicy,
@@ -65,7 +52,6 @@ from .tweak import (
     NotFound,
     brute_force_oracle,
     distance,
-    epsilon_transform,
     explain,
     generate_candidates,
     oracle_grid,
@@ -87,17 +73,10 @@ __all__ = [
     "train_adaboost",
     "update_weights",
     "weight_trajectory",
-    "FeasibleBox",
     "Internal",
     "Leaf",
-    "Path",
-    "PathCondition",
     "Tree",
-    "apply_tree",
-    "enumerate_paths",
     "fit_tree",
-    "path_to_box",
-    "predict_tree",
     "DataError",
     "Dataset",
     "FeatureSchema",
@@ -114,7 +93,6 @@ __all__ = [
     "margin_certificate",
     "select_kprime_alpha_mass",
     "select_kprime_trajectory",
-    "Candidate",
     "Candidates",
     "Counterfactual",
     "EpsilonPolicy",
@@ -122,7 +100,6 @@ __all__ = [
     "NotFound",
     "brute_force_oracle",
     "distance",
-    "epsilon_transform",
     "explain",
     "generate_candidates",
     "oracle_grid",

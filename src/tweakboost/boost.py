@@ -18,7 +18,6 @@ import numpy as np
 
 from .cart import FlatTrees, Tree, flatten, grow_tree, tree_from_dict, tree_to_dict
 from .data import Dataset, FeatureSchema, write_text_atomic
-from . import cart
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +64,6 @@ class Ensemble:
     staged_errors: np.ndarray
     schema: list[FeatureSchema]
     config: dict = field(default_factory=dict)
-    n_classes: int = 2
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -140,8 +138,7 @@ def update_weights(w, miss, alpha_k: float) -> np.ndarray:
     return u / total
 
 
-def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0,
-                   min_leaf_weight: float = cart.MIN_LEAF_WEIGHT) -> Ensemble:
+def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0) -> Ensemble:
     """SAMME loop: fit tree on current weights, measure weighted error,
     weight the tree, upweight its mistakes, repeat.
 
@@ -164,7 +161,7 @@ def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0,
     rows = [w.copy()]
 
     for k in range(1, K + 1):
-        tree, signs = grow_tree(ds, w, max_depth=max_depth, min_leaf_weight=min_leaf_weight)
+        tree, signs = grow_tree(ds, w, max_depth=max_depth)
         miss = signs != ds.labels
         err = float(w[miss].sum())
         if err >= 0.5:

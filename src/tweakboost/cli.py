@@ -1,9 +1,10 @@
 """Command-line surface for the tweakboost pipeline.
 
 Subcommands: train, explain, report-alphas, report-trajectories, verify.
-Config precedence is flags > TWEAKBOOST_* environment variables > defaults,
-and every output artifact embeds the fully resolved config plus the model
-version string so runs are self-describing. Exit codes are stable:
+Configuration comes from flags alone, each with its default declared in the
+parser (TWEAKBOOST_LOGLEVEL sets only the log level). Every output artifact
+embeds the resolved config plus the model version string so runs are
+self-describing. Exit codes are stable:
 
     0  success (NotFound is a result, not a failure)
     1  usage error
@@ -72,7 +73,14 @@ EXIT_DATA = 2
 EXIT_TRAIN = 3
 EXIT_SOUNDNESS = 4
 
-_ENV_PREFIX = "TWEAKBOOST_"
+# each strategy's parameters in spec order with their defaults; a given value
+# is cast to its default's type
+_PRUNE_DEFAULTS = {
+    "alpha-mass": {"mass_fraction": DEFAULT_MASS_FRACTION},
+    "trajectory": {"window": DEFAULT_WINDOW, "rel_tol": DEFAULT_REL_TOL},
+    "both": {"mass_fraction": DEFAULT_MASS_FRACTION, "window": DEFAULT_WINDOW,
+             "rel_tol": DEFAULT_REL_TOL},
+}
 
 
 class TrainError(RuntimeError):
@@ -91,19 +99,6 @@ class UsageError(ValueError):
     pass
 
 
-def _resolve(flag_value, env_name: str, cast, default):
-    """flags > environment > defaults."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(_ENV_PREFIX + env_name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {_ENV_PREFIX}{env_name}: {raw!r} ({exc})")
-
-
 def _load_model_or_die(path: str) -> Ensemble:
     try:
         return load_model(path)
@@ -114,7 +109,7 @@ def _load_model_or_die(path: str) -> Ensemble:
 
 
 def _load_dataset(args) -> Dataset:
-    if getattr(args, "demo", False):
+    if args.demo:
         return make_demo_dataset()
     label_map = parse_label_map(args.label_map) if args.label_map else None
     return load_csv(args.data, label_column=args.label_column, label_map=label_map)
@@ -122,31 +117,35 @@ def _load_dataset(args) -> Dataset:
 
 def parse_prune_spec(spec: str) -> tuple[str, dict]:
     """none | alpha-mass:<frac> | trajectory:<window>,<tol> | both:<frac>,<window>,<tol>.
-    Parameters are optional; module defaults fill the gaps."""
+    Parameters are optional; module defaults fill the gaps. Values outside
+    the selectors' bounds (fraction in (0, 1], window >= 2, tol >= 0) are
+    usage errors, whether or not the selection later runs."""
     spec = spec.strip()
     if spec == "none":
         return "none", {}
     name, _, rest = spec.partition(":")
+    defaults = _PRUNE_DEFAULTS.get(name)
+    if defaults is None:
+        raise UsageError(f"unknown prune strategy {spec!r}; "
+                         "expected none|alpha-mass:F|trajectory:W,TOL|both:F,W,TOL")
+    if not rest:
+        return name, dict(defaults)
+    values = rest.split(",")
     try:
-        if name == "alpha-mass":
-            frac = float(rest) if rest else DEFAULT_MASS_FRACTION
-            return name, {"mass_fraction": frac}
-        if name == "trajectory":
-            if rest:
-                w, tol = rest.split(",")
-                return name, {"window": int(w), "rel_tol": float(tol)}
-            return name, {"window": DEFAULT_WINDOW, "rel_tol": DEFAULT_REL_TOL}
-        if name == "both":
-            if rest:
-                frac, w, tol = rest.split(",")
-                return name, {"mass_fraction": float(frac), "window": int(w),
-                              "rel_tol": float(tol)}
-            return name, {"mass_fraction": DEFAULT_MASS_FRACTION,
-                          "window": DEFAULT_WINDOW, "rel_tol": DEFAULT_REL_TOL}
+        if len(values) != len(defaults):
+            raise ValueError(f"expected {len(defaults)} comma-separated values, got {len(values)}")
+        params = {k: type(d)(v) for (k, d), v in zip(defaults.items(), values)}
     except ValueError as exc:
         raise UsageError(f"bad --prune parameters in {spec!r}: {exc}")
-    raise UsageError(f"unknown prune strategy {spec!r}; "
-                     "expected none|alpha-mass:F|trajectory:W,TOL|both:F,W,TOL")
+    if not 0.0 < params.get("mass_fraction", 1.0) <= 1.0:  # NaN fails too
+        problem = f"mass fraction must be in (0, 1], got {params['mass_fraction']}"
+    elif params.get("window", 2) < 2:
+        problem = f"window must be >= 2, got {params['window']}"
+    elif not params.get("rel_tol", 0.0) >= 0.0:
+        problem = f"tolerance must be >= 0, got {params['rel_tol']}"
+    else:
+        return name, params
+    raise UsageError(f"bad --prune parameters in {spec!r}: {problem}")
 
 
 def _config_comment_lines(config: dict) -> list[str]:
@@ -158,16 +157,13 @@ def _config_comment_lines(config: dict) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    k = _resolve(args.k, "K", int, 100)
-    depth = _resolve(args.depth, "DEPTH", int, 4)
-    seed = _resolve(args.seed, "SEED", int, 0)
-    if k < 1:
-        raise UsageError(f"--k must be >= 1, got {k}")
-    if depth < 1:
-        raise UsageError(f"--depth must be >= 1, got {depth}")
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+    if args.depth < 1:
+        raise UsageError(f"--depth must be >= 1, got {args.depth}")
     ds = _load_dataset(args)
     try:
-        e = train_adaboost(ds, K=k, max_depth=depth, seed=seed)
+        e = train_adaboost(ds, K=args.k, max_depth=args.depth, seed=args.seed)
     except ValueError as exc:
         raise TrainError(str(exc))
     if e.k == 0:
@@ -177,7 +173,8 @@ def cmd_train(args) -> int:
     preds = np.where(margins > 0, 1, -1)
     acc = float((preds == ds.labels).mean())
     a = np.asarray(e.alphas)
-    print(f"trained {e.k}/{k} rounds (depth {depth}, seed {seed}) on {ds.n_rows} rows")
+    print(f"trained {e.k}/{args.k} rounds (depth {args.depth}, seed {args.seed}) "
+          f"on {ds.n_rows} rows")
     print(f"final train accuracy: {acc:.4f}")
     print(f"alpha: min {a.min():.4f}  mean {a.mean():.4f}  max {a.max():.4f}")
     print(f"model written: {args.out}")
@@ -218,55 +215,48 @@ def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None, int | 
 
 def _select_kprime(e: Ensemble, strategy: str, params: dict, row: int | None,
                    values: np.ndarray, label: int | None) -> tuple[int | None, list[str]]:
-    notes: list[str] = []
     if strategy == "none":
-        return None, notes
+        return None, []
     if strategy == "alpha-mass":
-        return select_kprime_alpha_mass(e, params["mass_fraction"]).k_prime, notes
-    traj_possible = row is not None and row < e.n_train
-    if row is not None and not traj_possible:
+        return select_kprime_alpha_mass(e, params["mass_fraction"]).k_prime, []
+    if row is None:
+        if strategy == "trajectory":
+            return None, ["trajectory pruning skipped: inline instance has no trajectory"]
+        return select_kprime_alpha_mass(e, params["mass_fraction"]).k_prime, [
+            "trajectory pruning skipped: inline instance has no trajectory; "
+            "alpha-mass selection used alone"]
+    if row >= e.n_train:
         raise DataError(
             f"row {row} has no stored weight trajectory (model trained on {e.n_train} rows)"
         )
-    if traj_possible and not trajectory_fits(e, row, values, label):
+    if not trajectory_fits(e, row, values, label):
         raise DataError(
             f"row {row}'s stored weight trajectory cannot belong to this instance "
             "(the data are not the model's training data)"
         )
-    if strategy == "trajectory":
-        if not traj_possible:
-            notes.append("trajectory pruning skipped: inline instance has no trajectory")
-            return None, notes
-        return select_kprime_trajectory(e, row, params["window"], params["rel_tol"]).k_prime, notes
-    # both
-    mass = select_kprime_alpha_mass(e, params["mass_fraction"])
-    if not traj_possible:
-        notes.append("trajectory pruning skipped: inline instance has no trajectory; "
-                     "alpha-mass selection used alone")
-        return mass.k_prime, notes
     traj = select_kprime_trajectory(e, row, params["window"], params["rel_tol"])
-    return combine_reports(mass, traj).k_prime, notes
+    if strategy == "trajectory":
+        return traj.k_prime, []
+    return combine_reports(select_kprime_alpha_mass(e, params["mass_fraction"]), traj).k_prime, []
+
+
+def _epsilon_policy(args) -> EpsilonPolicy:
+    try:
+        return EpsilonPolicy(mode=args.epsilon_mode, value=args.epsilon)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_explain(args) -> int:
-    eps_mode = _resolve(args.epsilon_mode, "EPSILON_MODE", str, "range_scaled")
-    eps_value = _resolve(args.epsilon, "EPSILON", float, 0.01)
-    norm = _resolve(args.norm, "NORM", str, "L2_std")
-    prune_spec = _resolve(args.prune, "PRUNE", str, "none")
-    if norm not in NORMS:
-        raise UsageError(f"--norm must be one of {NORMS}, got {norm!r}")
-    try:
-        eps = EpsilonPolicy(mode=eps_mode, value=eps_value)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    strategy, params = parse_prune_spec(prune_spec)
+    eps = _epsilon_policy(args)
+    strategy, params = parse_prune_spec(args.prune)
 
     e = _load_model_or_die(args.model)
     values, row, label = _resolve_instance(args, e)
     k_prime, notes = _select_kprime(e, strategy, params, row, values, label)
     pred, _ = predict_ensemble(e, values)
     try:
-        result = explain(e, values, eps, norm=norm, k_prime=k_prime,
+        result = explain(e, values, eps, norm=args.norm, k_prime=k_prime,
                          target=args.target, label=args.label)
     except ValueError as exc:
         raise DataError(str(exc))
@@ -275,10 +265,10 @@ def cmd_explain(args) -> int:
         "command": "explain",
         "model": args.model,
         "row": row,
-        "epsilon_mode": eps_mode,
-        "epsilon": eps_value,
-        "norm": norm,
-        "prune": prune_spec,
+        "epsilon_mode": args.epsilon_mode,
+        "epsilon": args.epsilon,
+        "norm": args.norm,
+        "prune": args.prune,
         "target": args.target,
         "label": args.label,
     }
@@ -291,7 +281,7 @@ def cmd_explain(args) -> int:
         "counterfactual": None,
         "delta": [],
         "distance": None,
-        "norm": norm,
+        "norm": args.norm,
         "epsilon_policy": {"mode": eps.mode, "value": eps.value},
         "k_prime_used": k_prime,
         "n_candidates_evaluated": result.n_candidates_evaluated,
@@ -362,13 +352,7 @@ def cmd_report_trajectories(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    eps_mode = _resolve(args.epsilon_mode, "EPSILON_MODE", str, "range_scaled")
-    eps_value = _resolve(args.epsilon, "EPSILON", float, 0.01)
-    norm = _resolve(args.norm, "NORM", str, "L2_std")
-    try:
-        eps = EpsilonPolicy(mode=eps_mode, value=eps_value)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    eps = _epsilon_policy(args)
     if args.n_instances < 1:
         raise UsageError(f"--n-instances must be >= 1, got {args.n_instances}")
     if args.resolution < 1:
@@ -390,7 +374,7 @@ def cmd_verify(args) -> int:
     agreements = 0
     for i in range(n):
         x = ds.rows[i]
-        res = explain(e, x, eps, norm=norm)
+        res = explain(e, x, eps, norm=args.norm)
         if isinstance(res, Counterfactual):
             pred_orig, _ = predict_ensemble(e, x)
             pred_new, _ = predict_ensemble(e, res.transformed)
@@ -398,7 +382,7 @@ def cmd_verify(args) -> int:
                 violations += 1
                 log.error("flip-soundness violation on instance %d", i)
         grid = oracle_grid(e, x, eps, resolution=args.resolution)
-        oracle = brute_force_oracle(e, x, grid, norm=norm)
+        oracle = brute_force_oracle(e, x, grid, norm=args.norm)
         d_e = res.distance if isinstance(res, Counterfactual) else None
         d_o = oracle.distance if isinstance(oracle, Counterfactual) else None
         if d_o is not None:
@@ -418,8 +402,8 @@ def cmd_verify(args) -> int:
     out = io.StringIO()
     config = {
         "command": "verify", "model": args.model, "n_instances": n,
-        "resolution": args.resolution, "epsilon_mode": eps_mode,
-        "epsilon": eps_value, "norm": norm, "slack": slack,
+        "resolution": args.resolution, "epsilon_mode": args.epsilon_mode,
+        "epsilon": args.epsilon, "norm": args.norm, "slack": slack,
     }
     for line in _config_comment_lines(config):
         out.write(line + "\n")
@@ -449,18 +433,18 @@ def _add_data_args(p, require_data: bool):
     g.add_argument("--demo", action="store_true",
                    help="use the bundled synthetic demo dataset")
     p.add_argument("--label-column", default="label",
-                   help="name of the label column (default: label)")
+                   help="name of the label column (default: %(default)s)")
     p.add_argument("--label-map",
                    help="raw-to-sign label mapping, e.g. yes=+1,no=-1")
 
 
 def _add_epsilon_args(p):
     p.add_argument("--epsilon-mode", choices=["absolute", "range_scaled"],
-                   help="epsilon policy mode (default: range_scaled)")
-    p.add_argument("--epsilon", type=float,
-                   help="epsilon value (default: 0.01)")
-    p.add_argument("--norm", choices=list(NORMS),
-                   help="distance norm (default: L2_std)")
+                   default="range_scaled", help="epsilon policy mode (default: %(default)s)")
+    p.add_argument("--epsilon", type=float, default=0.01,
+                   help="epsilon value (default: %(default)s)")
+    p.add_argument("--norm", choices=list(NORMS), default="L2_std",
+                   help="distance norm (default: %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -470,9 +454,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train an AdaBoost ensemble on a CSV or the demo data")
     _add_data_args(p, require_data=True)
-    p.add_argument("--k", type=int, help="boosting rounds (default: 100)")
-    p.add_argument("--depth", type=int, help="max tree depth (default: 4)")
-    p.add_argument("--seed", type=int, help="config seed recorded in the model (default: 0)")
+    p.add_argument("--k", type=int, default=100, help="boosting rounds (default: %(default)s)")
+    p.add_argument("--depth", type=int, default=4, help="max tree depth (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="config seed recorded in the model (default: %(default)s)")
     p.add_argument("--out", default="model.json", help="model output path")
     p.set_defaults(func=cmd_train)
 
@@ -481,14 +466,11 @@ def build_parser() -> _Parser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--row", type=int, help="row index into --data (0-based)")
     g.add_argument("--instance", help="inline comma-separated feature vector")
-    p.add_argument("--data", help="CSV the --row index refers to")
-    p.add_argument("--label-column", default="label")
-    p.add_argument("--label-map")
-    p.add_argument("--demo", action="store_true",
-                   help="use the demo dataset as --data")
+    _add_data_args(p, require_data=False)
     _add_epsilon_args(p)
-    p.add_argument("--prune",
-                   help="none | alpha-mass:F | trajectory:W,TOL | both:F,W,TOL (default: none)")
+    p.add_argument("--prune", default="none",
+                   help="none | alpha-mass:F | trajectory:W,TOL | both:F,W,TOL "
+                        "(default: %(default)s)")
     p.add_argument("--target", type=int, choices=[-1, 1],
                    help="required flipped class; must oppose the current prediction")
     p.add_argument("--label", type=int, choices=[-1, 1],
@@ -512,11 +494,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="compare explain against the brute-force grid oracle")
     p.add_argument("--model", required=True)
     _add_data_args(p, require_data=True)
-    p.add_argument("--n-instances", type=int, default=20)
+    p.add_argument("--n-instances", type=int, default=20,
+                   help="leading data rows to check (default: %(default)s)")
     p.add_argument("--resolution", type=int, default=50,
-                   help="grid points per feature for the oracle")
+                   help="grid points per feature for the oracle (default: %(default)s)")
     p.add_argument("--slack", type=float, default=1e-9,
-                   help="distance tolerance for counting agreement")
+                   help="distance tolerance for counting agreement (default: %(default)s)")
     _add_epsilon_args(p)
     p.add_argument("--out", help="also write the comparison CSV here")
     p.set_defaults(func=cmd_verify)

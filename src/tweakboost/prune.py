@@ -44,7 +44,6 @@ class PruneReport:
     strategy: str  # "alpha-mass" | "trajectory" | "both"
     mass_captured: float
     params: dict = field(default_factory=dict)
-    agreement_rate: float | None = None
 
 
 def _mass_at(e: Ensemble, k_prime: int) -> float:

@@ -18,7 +18,8 @@ from tweakboost import (
     update_weights,
     weight_trajectory,
 )
-from tweakboost import make_dataset, predict_tree
+from tweakboost import make_dataset
+from tweakboost.cart import predict_tree
 
 from conftest import desk_ensemble, random_learnable_dataset, stump
 

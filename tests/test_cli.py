@@ -85,19 +85,23 @@ def test_train_chance_data_is_train_error(tmp_path):
                 "--out", str(tmp_path / "m.json")]) == 3
 
 
-def test_train_env_defaults_and_flag_precedence(tmp_path, small_csv, monkeypatch):
+def test_configuration_ignores_environment(tmp_path, small_csv, capsys, monkeypatch):
+    # flags and their parser defaults are the only configuration source
     monkeypatch.setenv("TWEAKBOOST_K", "3")
-    out = tmp_path / "env.json"
-    assert run(["train", "--data", str(small_csv), "--out", str(out)]) == 0
-    assert load_model(out).config["K"] == 3
-    out2 = tmp_path / "flag.json"
-    assert run(["train", "--data", str(small_csv), "--k", "2", "--out", str(out2)]) == 0
-    assert load_model(out2).config["K"] == 2
-
-
-def test_train_bad_env_value_is_usage_error(tmp_path, small_csv, monkeypatch):
-    monkeypatch.setenv("TWEAKBOOST_K", "many")
-    assert run(["train", "--data", str(small_csv), "--out", str(tmp_path / "m.json")]) == 1
+    monkeypatch.setenv("TWEAKBOOST_NORM", "foo")
+    monkeypatch.setenv("TWEAKBOOST_PRUNE", "alpha-mass:5")
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", str(small_csv), "--depth", "1", "--out", str(model)]) == 0
+    assert load_model(model).config["K"] == 100
+    capsys.readouterr()
+    assert run(["verify", "--model", str(model), "--data", str(small_csv),
+                "--n-instances", "2", "--resolution", "5"]) == 0
+    assert '"norm": "L2_std"' in capsys.readouterr().out
+    assert run(["explain", "--model", str(model), "--data", str(small_csv),
+                "--row", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["norm"] == "L2_std"
+    assert payload["config"]["prune"] == "none"
 
 
 # -------------------------------------------------- explain
@@ -156,7 +160,30 @@ def test_explain_inline_instance_skips_trajectory_prune(demo_model_path, capsys)
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["k_prime_used"] is not None  # alpha-mass still applies
-    assert any("trajectory" in n for n in payload["notes"])
+    assert payload["notes"] == ["trajectory pruning skipped: inline instance has no "
+                                "trajectory; alpha-mass selection used alone"]
+
+
+def test_explain_inline_instance_trajectory_only_prune_is_skipped(demo_model_path, capsys):
+    inline = ",".join(["1.0"] * 8)
+    assert run(["explain", "--model", str(demo_model_path), "--instance", inline,
+                "--prune", "trajectory:3,0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k_prime_used"] is None
+    assert payload["notes"] == ["trajectory pruning skipped: inline instance has no trajectory"]
+
+
+@pytest.mark.parametrize("spec", ["trajectory:3,0.5", "both:0.9,3,0.5"])
+@pytest.mark.parametrize("row", [600, 699])
+def test_explain_row_beyond_training_split_has_no_trajectory(tmp_path, demo_model_path,
+                                                             capsys, spec, row):
+    longer = tmp_path / "longer.csv"
+    save_csv(make_demo_dataset(n_rows=700), longer)
+    assert run(["explain", "--model", str(demo_model_path), "--data", str(longer),
+                "--row", str(row), "--prune", spec]) == 2
+    err = capsys.readouterr().err
+    assert f"row {row} has no stored weight trajectory (model trained on 600 rows)" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_explain_negative_row_is_data_error(demo_model_path):
@@ -293,6 +320,33 @@ def test_explain_bad_prune_spec_is_usage_error(demo_model_path):
                 "--prune", "sometimes"]) == 1
     assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "0",
                 "--prune", "alpha-mass:lots"]) == 1
+    for spec in ("trajectory:4", "both:0.9,4", "alpha-mass:0.5,3", "trajectory:4.5,0.1",
+                 "none:1"):
+        assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "0",
+                    "--prune", spec]) == 1, spec
+
+
+@pytest.mark.parametrize("spec", [
+    "alpha-mass:2", "alpha-mass:0", "alpha-mass:-0.5", "alpha-mass:nan", "alpha-mass:inf",
+    "trajectory:1,0.1", "trajectory:5,-1", "trajectory:5,nan", "both:0.5,1,0.1",
+    "both:1.5,5,0.1", "both:0.5,5,-0.01",
+])
+@pytest.mark.parametrize("target", [["--demo", "--row", "3"], ["--instance", "1,1,1,1,1,1,1,1"]])
+def test_explain_out_of_range_prune_parameters_are_usage_errors(demo_model_path, capsys,
+                                                                 spec, target):
+    assert run(["explain", "--model", str(demo_model_path), *target, "--prune", spec]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1 and "--prune" in captured.err
+    assert captured.out == ""
+
+
+def test_explain_demo_and_data_together_is_usage_error(tmp_path, demo_model_path, capsys):
+    assert run(["explain", "--model", str(demo_model_path), "--demo",
+                "--data", str(tmp_path / "other.csv"), "--row", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "not allowed with" in captured.err
+    assert captured.out == ""
 
 
 def test_parse_prune_spec_defaults():
@@ -304,9 +358,9 @@ def test_parse_prune_spec_defaults():
         ("both", {"mass_fraction": 0.9, "window": 4, "rel_tol": 0.1})
 
 
-def test_explain_env_epsilon(demo_model_path, capsys, monkeypatch):
-    monkeypatch.setenv("TWEAKBOOST_EPSILON", "0.05")
-    code = run(["explain", "--model", str(demo_model_path), "--demo", "--row", "2"])
+def test_explain_epsilon_flag(demo_model_path, capsys):
+    code = run(["explain", "--model", str(demo_model_path), "--demo", "--row", "2",
+                "--epsilon", "0.05"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["epsilon_policy"]["value"] == 0.05

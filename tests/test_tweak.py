@@ -12,19 +12,18 @@ from tweakboost import (
     brute_force_oracle,
     distance,
     ensemble_margins,
-    epsilon_transform,
     explain,
     generate_candidates,
     make_dataset,
     make_demo_dataset,
     oracle_grid,
     predict_ensemble,
-    predict_tree,
     select_kprime_alpha_mass,
     train_adaboost,
 )
-from tweakboost.cart import Internal, Leaf, Path, PathCondition, Tree, enumerate_paths, path_to_box
-from tweakboost.tweak import NORMS
+from tweakboost.cart import (Internal, Leaf, Path, PathCondition, Tree, enumerate_paths,
+                             path_to_box, predict_tree)
+from tweakboost.tweak import NORMS, epsilon_transform
 
 from conftest import desk_ensemble, leaf_tree, make_schema, random_learnable_dataset, stump
 
