@@ -34,7 +34,6 @@ from .data import (
     make_demo_dataset,
     parse_label_map,
     save_csv,
-    split,
 )
 from .prune import (
     PruneReport,
@@ -86,7 +85,6 @@ __all__ = [
     "make_demo_dataset",
     "parse_label_map",
     "save_csv",
-    "split",
     "PruneReport",
     "agreement_rate",
     "combine_reports",

@@ -42,23 +42,11 @@ from .data import (
     parse_label_map,
     write_text_atomic,
 )
-from .prune import (
-    DEFAULT_MASS_FRACTION,
-    DEFAULT_REL_TOL,
-    DEFAULT_WINDOW,
-    alpha_report_rows,
-    combine_reports,
-    margin_certificate,
-    select_kprime_alpha_mass,
-    select_kprime_trajectory,
-    trajectory_fits,
-    trajectory_report_rows,
-)
+from .prune import margin_certificate, parse_prune_spec, select_kprime
 from .tweak import (
     NORMS,
     Counterfactual,
     EpsilonPolicy,
-    GridGuardError,
     NotFound,
     brute_force_oracle,
     explain,
@@ -72,16 +60,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAIN = 3
 EXIT_SOUNDNESS = 4
-
-# each strategy's parameters in spec order with their defaults; a given value
-# is cast to its default's type
-_PRUNE_DEFAULTS = {
-    "alpha-mass": {"mass_fraction": DEFAULT_MASS_FRACTION},
-    "trajectory": {"window": DEFAULT_WINDOW, "rel_tol": DEFAULT_REL_TOL},
-    "both": {"mass_fraction": DEFAULT_MASS_FRACTION, "window": DEFAULT_WINDOW,
-             "rel_tol": DEFAULT_REL_TOL},
-}
-
 
 class TrainError(RuntimeError):
     pass
@@ -104,7 +82,7 @@ def _load_model_or_die(path: str) -> Ensemble:
         return load_model(path)
     except FileNotFoundError:
         raise DataError(f"no such model file: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read model {path}: {exc}")
 
 
@@ -113,39 +91,6 @@ def _load_dataset(args) -> Dataset:
         return make_demo_dataset()
     label_map = parse_label_map(args.label_map) if args.label_map else None
     return load_csv(args.data, label_column=args.label_column, label_map=label_map)
-
-
-def parse_prune_spec(spec: str) -> tuple[str, dict]:
-    """none | alpha-mass:<frac> | trajectory:<window>,<tol> | both:<frac>,<window>,<tol>.
-    Parameters are optional; module defaults fill the gaps. Values outside
-    the selectors' bounds (fraction in (0, 1], window >= 2, tol >= 0) are
-    usage errors, whether or not the selection later runs."""
-    spec = spec.strip()
-    if spec == "none":
-        return "none", {}
-    name, _, rest = spec.partition(":")
-    defaults = _PRUNE_DEFAULTS.get(name)
-    if defaults is None:
-        raise UsageError(f"unknown prune strategy {spec!r}; "
-                         "expected none|alpha-mass:F|trajectory:W,TOL|both:F,W,TOL")
-    if not rest:
-        return name, dict(defaults)
-    values = rest.split(",")
-    try:
-        if len(values) != len(defaults):
-            raise ValueError(f"expected {len(defaults)} comma-separated values, got {len(values)}")
-        params = {k: type(d)(v) for (k, d), v in zip(defaults.items(), values)}
-    except ValueError as exc:
-        raise UsageError(f"bad --prune parameters in {spec!r}: {exc}")
-    if not 0.0 < params.get("mass_fraction", 1.0) <= 1.0:  # NaN fails too
-        problem = f"mass fraction must be in (0, 1], got {params['mass_fraction']}"
-    elif params.get("window", 2) < 2:
-        problem = f"window must be >= 2, got {params['window']}"
-    elif not params.get("rel_tol", 0.0) >= 0.0:
-        problem = f"tolerance must be >= 0, got {params['rel_tol']}"
-    else:
-        return name, params
-    raise UsageError(f"bad --prune parameters in {spec!r}: {problem}")
 
 
 def _config_comment_lines(config: dict) -> list[str]:
@@ -213,33 +158,6 @@ def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None, int | 
     return ds.rows[args.row].copy(), args.row, int(ds.labels[args.row])
 
 
-def _select_kprime(e: Ensemble, strategy: str, params: dict, row: int | None,
-                   values: np.ndarray, label: int | None) -> tuple[int | None, list[str]]:
-    if strategy == "none":
-        return None, []
-    if strategy == "alpha-mass":
-        return select_kprime_alpha_mass(e, params["mass_fraction"]).k_prime, []
-    if row is None:
-        if strategy == "trajectory":
-            return None, ["trajectory pruning skipped: inline instance has no trajectory"]
-        return select_kprime_alpha_mass(e, params["mass_fraction"]).k_prime, [
-            "trajectory pruning skipped: inline instance has no trajectory; "
-            "alpha-mass selection used alone"]
-    if row >= e.n_train:
-        raise DataError(
-            f"row {row} has no stored weight trajectory (model trained on {e.n_train} rows)"
-        )
-    if not trajectory_fits(e, row, values, label):
-        raise DataError(
-            f"row {row}'s stored weight trajectory cannot belong to this instance "
-            "(the data are not the model's training data)"
-        )
-    traj = select_kprime_trajectory(e, row, params["window"], params["rel_tol"])
-    if strategy == "trajectory":
-        return traj.k_prime, []
-    return combine_reports(select_kprime_alpha_mass(e, params["mass_fraction"]), traj).k_prime, []
-
-
 def _epsilon_policy(args) -> EpsilonPolicy:
     try:
         return EpsilonPolicy(mode=args.epsilon_mode, value=args.epsilon)
@@ -249,11 +167,14 @@ def _epsilon_policy(args) -> EpsilonPolicy:
 
 def cmd_explain(args) -> int:
     eps = _epsilon_policy(args)
-    strategy, params = parse_prune_spec(args.prune)
+    try:
+        strategy, params = parse_prune_spec(args.prune)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     e = _load_model_or_die(args.model)
     values, row, label = _resolve_instance(args, e)
-    k_prime, notes = _select_kprime(e, strategy, params, row, values, label)
+    k_prime, notes = select_kprime(e, strategy, params, row, values, label)
     pred, _ = predict_ensemble(e, values)
     try:
         result = explain(e, values, eps, norm=args.norm, k_prime=k_prime,
@@ -315,8 +236,10 @@ def cmd_report_alphas(args) -> int:
     config = {"command": "report-alphas", "model": args.model}
     lines = _config_comment_lines(config)
     lines.append("k,alpha,cumulative_mass")
-    for k, a, cum in alpha_report_rows(e):
-        lines.append(f"{k},{a!r},{cum!r}")
+    total = float(e.alphas.sum())
+    cum = np.cumsum(e.alphas)
+    for k in range(e.k):
+        lines.append(f"{k + 1},{float(e.alphas[k])!r},{float(cum[k]) / total!r}")
     write_text_atomic(args.out, "\n".join(lines) + "\n")
     print(f"alpha report written: {args.out} ({e.k} rows)")
     return EXIT_OK
@@ -340,7 +263,7 @@ def cmd_report_trajectories(args) -> int:
         config = {"command": "report-trajectories", "model": args.model, "instance": i}
         lines = _config_comment_lines(config)
         lines.append("k,w")
-        for k, w in trajectory_report_rows(e, i):
+        for k, w in enumerate(e.trajectories[:, i].tolist()):
             lines.append(f"{k},{w!r}")
         path = os.path.join(args.out_dir, f"trajectory_{i}.csv")
         write_text_atomic(path, "\n".join(lines) + "\n")
@@ -517,9 +440,6 @@ def main(argv=None) -> int:
         print(f"tweakboost: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
-        print(f"tweakboost: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GridGuardError as exc:
         print(f"tweakboost: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -25,7 +25,6 @@ __all__ = [
     "make_dataset",
     "load_csv",
     "save_csv",
-    "split",
     "parse_label_map",
     "make_demo_dataset",
     "write_text_atomic",
@@ -33,7 +32,7 @@ __all__ = [
 
 
 class DataError(ValueError):
-    """Contract violation in input data (bad cell, bad label, bad split)."""
+    """Contract violation in input data (bad cell, bad label, bad model file)."""
 
 
 @dataclass(frozen=True)
@@ -231,39 +230,6 @@ def save_csv(ds: Dataset, path: str | os.PathLike, label_column: str = "label") 
         writer.writerow(ds.feature_names + [label_column])
         for i in range(ds.n_rows):
             writer.writerow([repr(float(v)) for v in ds.rows[i]] + [str(int(ds.labels[i]))])
-
-
-def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic disjoint train/test partition.
-
-    Schema stats are recomputed on the train split only; the test Dataset
-    carries the *train* schema so downstream distance normalization always
-    uses training statistics.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"train_fraction must be in (0,1), got {train_fraction}")
-    n = ds.n_rows
-    n_train = int(round(train_fraction * n))
-    if n_train < 1 or n_train >= n:
-        raise DataError(f"split of {n} rows at fraction {train_fraction} leaves a side empty")
-    perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-
-    def _take(idx: np.ndarray, schema: list[FeatureSchema] | None) -> Dataset:
-        rows = ds.rows[idx]
-        labels = ds.labels[idx]
-        if schema is None:
-            schema = compute_schema(rows, ds.feature_names)
-        return Dataset(rows=rows, labels=labels, schema=schema)
-
-    train = _take(train_idx, None)
-    test = _take(test_idx, train.schema)
-    for name, part in (("train", train), ("test", test)):
-        for cls in (-1, 1):
-            if not np.any(part.labels == cls):
-                raise DataError(f"class {cls:+d} absent from {name} split")
-    return train, test
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .boost import Ensemble, ensemble_margins, predict_ensemble, vote_sum
 from .cart import FeasibleBox, Path, path_to_box
-from .data import FeatureSchema
+from .data import DataError, FeatureSchema
 
 __all__ = [
     "GRID_GUARD",
@@ -46,7 +46,7 @@ GRID_GUARD = 10**6  # max enumerable grid points for the brute-force oracle
 NORMS = ("L2_std", "L1_std", "L0")
 
 
-class GridGuardError(ValueError):
+class GridGuardError(DataError):
     """Oracle grid larger than the enumeration guard allows."""
 
 

@@ -296,6 +296,26 @@ def test_model_that_is_not_a_json_object_is_data_error(tmp_path, small_csv, caps
         assert err.count("\n") == 1 and "must be a JSON object" in err, argv
 
 
+def test_deeply_nested_model_is_data_error(tmp_path, small_csv, demo_model_path, capsys):
+    # json.load recurses once per nesting level, so a deep enough tree
+    # raises RecursionError before any model validation runs
+    depth = 5000
+    deep = ('{"feature": 0, "threshold": 0.5, "left": ' * depth
+            + '{"sign": 1, "purity": 1.0}'
+            + ', "right": {"sign": -1, "purity": 1.0}}' * depth)
+    doc = json.loads(demo_model_path.read_text())
+    doc["trees"][0] = "DEEP"
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps(doc).replace('"DEEP"', deep, 1))
+    for argv in (["explain", "--model", str(bad), "--demo", "--row", "1"],
+                 ["verify", "--model", str(bad), "--data", str(small_csv)],
+                 ["report-alphas", "--model", str(bad), "--out", str(tmp_path / "a.csv")]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "recursion" in captured.err, argv
+        assert captured.out == "", argv
+
+
 def test_model_with_invalid_staged_errors_is_data_error(tmp_path, demo_model_path, capsys):
     doc = json.loads(demo_model_path.read_text())
     doc["staged_errors"][1:3] = [float("nan"), 2.0]
@@ -368,21 +388,25 @@ def test_explain_epsilon_flag(demo_model_path, capsys):
 
 # -------------------------------------------------- reports
 
-def test_report_alphas_shape(tmp_path, demo_model_path):
-    out = tmp_path / "alphas.csv"
-    assert run(["report-alphas", "--model", str(demo_model_path), "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    comments = [l for l in lines if l.startswith("#")]
-    assert any("model_version" in c for c in comments)
-    assert any("config" in c for c in comments)
-    body = [l for l in lines if not l.startswith("#")]
-    assert body[0] == "k,alpha,cumulative_mass"
-    e = load_model(demo_model_path)
-    assert len(body) - 1 == e.k
-    first = body[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == pytest.approx(float(e.alphas[0]))
-    assert float(body[-1].split(",")[2]) == pytest.approx(1.0)
+def test_report_alphas_shape(tmp_path, demo_model_path, demo_model):
+    # on the K=100 model alphas.sum() (pairwise) and the last cumulative sum
+    # differ, so the expected cells pin which of the two divides
+    k100 = tmp_path / "k100.json"
+    save_model(demo_model, k100)
+    for model_path in (demo_model_path, k100):
+        out = tmp_path / "alphas.csv"
+        assert run(["report-alphas", "--model", str(model_path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        comments = [l for l in lines if l.startswith("#")]
+        assert any("model_version" in c for c in comments)
+        assert any("config" in c for c in comments)
+        body = [l for l in lines if not l.startswith("#")]
+        assert body[0] == "k,alpha,cumulative_mass"
+        e = load_model(model_path)
+        cum = np.cumsum(e.alphas) / e.alphas.sum()
+        assert body[1:] == [f"{k + 1},{float(a)!r},{float(c)!r}"
+                            for k, (a, c) in enumerate(zip(e.alphas, cum))]
+        assert float(body[-1].split(",")[2]) == pytest.approx(1.0)
 
 
 def test_report_trajectories_shape(tmp_path, demo_model_path):
@@ -396,6 +420,8 @@ def test_report_trajectories_shape(tmp_path, demo_model_path):
         assert body[0] == "k,w"
         assert len(body) - 1 == e.k + 1  # includes w_0
         assert float(body[1].split(",")[1]) == pytest.approx(1 / 600)
+        assert [(int(k), float(w)) for k, w in (l.split(",") for l in body[1:])] == \
+            list(enumerate(e.trajectories[:, i].tolist()))
 
 
 def test_report_trajectories_non_training_index(tmp_path, demo_model_path, capsys):

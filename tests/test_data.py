@@ -9,7 +9,6 @@ from tweakboost import (
     make_demo_dataset,
     parse_label_map,
     save_csv,
-    split,
 )
 
 
@@ -116,36 +115,6 @@ def test_parse_label_map_rejects_garbage():
         parse_label_map("yes->1")
     with pytest.raises(DataError):
         parse_label_map("yes=+1,no=+1")
-
-
-def test_split_partitions_and_is_deterministic():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(40, 3))
-    y = np.where(rng.random(40) > 0.5, 1, -1)
-    ds = make_dataset(X, y, ["a", "b", "c"])
-    tr1, te1 = split(ds, 0.75, seed=9)
-    tr2, te2 = split(ds, 0.75, seed=9)
-    assert tr1.n_rows == 30 and te1.n_rows == 10
-    assert np.array_equal(tr1.rows, tr2.rows)
-    assert np.array_equal(te1.labels, te2.labels)
-    # disjoint and exhaustive
-    combined = np.vstack([tr1.rows, te1.rows])
-    assert sorted(map(tuple, combined)) == sorted(map(tuple, ds.rows))
-
-
-def test_split_test_carries_train_schema():
-    X = np.array([[float(i), float(i % 3)] for i in range(20)])
-    y = np.array([1, -1] * 10)
-    ds = make_dataset(X, y, ["a", "b"])
-    tr, te = split(ds, 0.7, seed=1)
-    assert te.schema == tr.schema
-
-
-def test_split_requires_both_classes():
-    X = np.arange(8.0).reshape(8, 1)
-    ds = make_dataset(X, [1, 1, 1, 1, 1, 1, 1, -1], ["a"])
-    with pytest.raises(DataError, match=r"class .* absent from"):
-        split(ds, 0.5, seed=2)
 
 
 def test_demo_dataset_shape_and_determinism():

@@ -12,7 +12,7 @@ from tweakboost import (
     select_kprime_trajectory,
     train_adaboost,
 )
-from tweakboost.prune import alpha_report_rows, trajectory_fits, trajectory_report_rows
+from tweakboost.prune import trajectory_fits
 
 from conftest import desk_ensemble, random_learnable_dataset, stump
 
@@ -105,6 +105,10 @@ def test_trajectory_validates_args():
         select_kprime_trajectory(e, 0, window=0)
     with pytest.raises(ValueError):
         select_kprime_trajectory(e, 0, rel_tol=-0.5)
+    with pytest.raises(ValueError):
+        select_kprime_trajectory(e, 0, 3, float("nan"))
+    with pytest.raises(ValueError):
+        select_kprime_alpha_mass(e, float("nan"))
 
 
 # -------------------------------------------------- combination
@@ -175,23 +179,3 @@ def test_margin_certificate_is_strict_at_equality():
     e2 = desk_ensemble([stump(0, 5.0, -1, 1), stump(0, 5.0, -1, 1)], [1.0, 0.5])
     assert margin_certificate(e2, np.array([1.0, 1.0]), 1) is True
 
-
-# -------------------------------------------------- report tables
-
-def test_alpha_report_rows_shape_and_mass():
-    e = ensemble_with_alphas([2.0, 1.0, 1.0])
-    rows = alpha_report_rows(e)
-    assert [r[0] for r in rows] == [1, 2, 3]
-    assert [r[1] for r in rows] == [2.0, 1.0, 1.0]
-    assert rows[-1][2] == pytest.approx(1.0)
-    assert rows[0][2] == pytest.approx(0.5)
-
-
-def test_trajectory_report_rows_includes_w0():
-    v = np.linspace(0.2, 0.4, 6)
-    e = ensemble_with_trajectory(v)
-    rows = trajectory_report_rows(e, 0)
-    assert len(rows) == e.k + 1
-    assert [r[0] for r in rows] == list(range(e.k + 1))
-    assert rows[0][1] == pytest.approx(0.2)
-    assert rows[-1][1] == pytest.approx(0.4)
