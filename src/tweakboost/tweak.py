@@ -9,14 +9,17 @@ flipping candidate is the counterfactual. Both symmetric cases are handled:
 positive paths in negative-voting trees and negative paths in positive ones.
 
 The search reads the ensemble's leaf-box table (cart.FlatTrees) and works
-on all boxes at once: one epsilon step, one margin pass, one distance
-vector per instance, kept as parallel arrays (Candidates).
+on all boxes at once: one epsilon step and one distance vector per
+instance, kept as parallel arrays (Candidates). explain then scores the
+candidates nearest-first in growing chunks and stops at the first chunk
+that holds a flip, so the far candidates are seldom routed at all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +47,8 @@ __all__ = [
 GRID_GUARD = 10**6  # max enumerable grid points for the brute-force oracle
 
 NORMS = ("L2_std", "L1_std", "L0")
+
+_FIRST_CHUNK = 64  # candidates explain scores before doubling the chunk
 
 
 class GridGuardError(DataError):
@@ -93,15 +98,21 @@ class Candidates:
     """All candidates of one instance as parallel arrays, one row each, in
     ascending (tree, path) order; len(), indexing and iteration give
     Candidate records, built on demand. verdict is the instance's own
-    full-ensemble verdict, from the same routing that chose the trees."""
+    full-ensemble verdict, from the same routing that chose the trees.
+    ensemble_verdict, every candidate's full-ensemble verdict, is computed
+    on first access: explain scores only the candidates it needs."""
 
     values: np.ndarray  # (n, n_features) tweaked instances
     tree_index: np.ndarray
     path_index: np.ndarray
     tweaked: np.ndarray  # (n, n_features), True where a feature was moved
-    ensemble_verdict: np.ndarray
     distance: np.ndarray
     verdict: int
+    ensemble: Ensemble = field(repr=False)
+
+    @functools.cached_property
+    def ensemble_verdict(self) -> np.ndarray:
+        return _verdicts(self.ensemble, self.values)
 
     def __len__(self) -> int:
         return self.tree_index.shape[0]
@@ -211,11 +222,16 @@ def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
                         k_prime: int | None = None, norm: str = "L2_std") -> Candidates:
     """All epsilon-transform candidates from opposite-sign paths of trees
     that currently agree with the ensemble verdict, restricted to the first
-    k_prime trees when given. Every candidate's verdict comes from the FULL
-    ensemble. Deterministic ascending (tree, path) order.
+    k_prime trees when given, with their distances. Every candidate's
+    verdict comes from the FULL ensemble, computed when first read.
+    Deterministic ascending (tree, path) order. Raises ValueError on a NaN
+    or infinite instance value, which has no finite distance to move by.
     """
     values = np.asarray(x, dtype=np.float64)
     e.check_arity(values)
+    if not np.all(np.isfinite(values)):
+        bad = np.flatnonzero(~np.isfinite(values)).tolist()
+        raise ValueError(f"instance values must be finite; features {bad} are not")
     if k_prime is not None and not 1 <= k_prime <= e.k:
         raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
     limit = e.k if k_prime is None else k_prime
@@ -228,10 +244,14 @@ def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
     moved, tweaked, ok = _epsilon_step(values, flat.lower[boxes], flat.upper[boxes],
                                        eps.per_feature(e.schema))
     boxes, moved, tweaked = boxes[ok], moved[ok], tweaked[ok]
-    margins = ensemble_margins(e, moved)  # full ensemble, never truncated
     return Candidates(values=moved, tree_index=flat.tree[boxes], path_index=flat.path_index[boxes],
-                      tweaked=tweaked, ensemble_verdict=np.where(margins > 0, 1, -1),
-                      distance=distance(values, moved, e.schema, norm), verdict=s)
+                      tweaked=tweaked, distance=distance(values, moved, e.schema, norm),
+                      verdict=s, ensemble=e)
+
+
+def _verdicts(e: Ensemble, X: np.ndarray) -> np.ndarray:
+    """Full-ensemble verdicts of the rows of X, never truncated."""
+    return np.where(ensemble_margins(e, X) > 0, 1, -1)
 
 
 def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
@@ -239,6 +259,12 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
             target: int | None = None, label: int | None = None,
             threads: int = 1) -> Counterfactual | NotFound:
     """Closest flipping candidate, ties broken by (lower tree, lower path).
+
+    The candidates are ranked by (distance, tree, path) and scored against
+    the full ensemble in that order, in chunks that double from 64, up to
+    the first chunk holding a flip; its first flip is the answer.
+    n_candidates_evaluated counts the candidates generated and ranked, not
+    the ones scored. Raises ValueError on a non-finite instance.
 
     target, when given, must be the opposite of the current prediction.
     label, when given, asserts provenance: the instance must be correctly
@@ -257,15 +283,22 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
         raise ValueError(
             f"provenance assertion failed: label {label:+d} but prediction {pred:+d}"
         )
-    flipped = np.flatnonzero(cands.ensemble_verdict != pred)
-    if not flipped.size:
-        return NotFound(n_candidates_evaluated=len(cands), k_prime_used=k_prime)
-    # every candidate has leaf sign -pred and they come in (tree, path) order,
-    # so the first minimum is the (distance, tree, path) minimum
-    best = flipped[np.argmin(cands.distance[flipped])]
-    return _counterfactual(values, cands.values[best], float(cands.distance[best]), len(cands),
-                           k_prime_used=k_prime, source_tree=int(cands.tree_index[best]),
-                           source_path=int(cands.path_index[best]))
+    # the candidates come in (tree, path) order, so a stable sort by distance
+    # ranks them by (distance, tree, path); every margin is computed row by
+    # row, so scoring a chunk gives each candidate the verdict a full pass would
+    order = np.argsort(cands.distance, kind="stable")
+    start, size = 0, _FIRST_CHUNK
+    while start < order.size:
+        chunk = order[start:start + size]
+        flipped = np.flatnonzero(_verdicts(e, cands.values[chunk]) != pred)
+        if flipped.size:
+            best = chunk[flipped[0]]
+            return _counterfactual(values, cands.values[best], float(cands.distance[best]),
+                                   len(cands), k_prime_used=k_prime,
+                                   source_tree=int(cands.tree_index[best]),
+                                   source_path=int(cands.path_index[best]))
+        start, size = start + size, 2 * size
+    return NotFound(n_candidates_evaluated=len(cands), k_prime_used=k_prime)
 
 
 def _counterfactual(values: np.ndarray, new: np.ndarray, dist: float, n_eval: int,

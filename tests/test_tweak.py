@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from tweakboost import (
 )
 from tweakboost.cart import (Internal, Leaf, Path, PathCondition, Tree, enumerate_paths,
                              path_to_box, predict_tree)
-from tweakboost.tweak import NORMS, epsilon_transform
+from tweakboost import tweak
+from tweakboost.tweak import _FIRST_CHUNK, NORMS, epsilon_transform
 
 from conftest import desk_ensemble, leaf_tree, make_schema, random_learnable_dataset, stump
 
@@ -402,31 +404,99 @@ def test_explain_tie_breaks_by_tree_then_path():
     assert (res.source_tree, res.source_path) == (0, 0)
 
 
-def reference_explain(e, x, eps, k_prime=None):
-    """The closest flip by (distance, tree, path), over Candidate records."""
+def reference_explain(e, x, eps, k_prime=None, norm="L2_std"):
+    """The closest flip by (distance, tree, path), over Candidate records,
+    its rank among all candidates in that order, and the candidate count."""
     pred = predict_ensemble(e, x)[0]
-    flipped = [c for c in generate_candidates(e, x, eps, k_prime=k_prime)
-               if c.ensemble_verdict != pred]
-    return min(flipped, key=lambda c: (c.distance, c.tree_index, c.path_index), default=None)
+    cands = list(generate_candidates(e, x, eps, k_prime=k_prime, norm=norm))
+    key = operator.attrgetter("distance", "tree_index", "path_index")
+    best = min((c for c in cands if c.ensemble_verdict != pred), key=key, default=None)
+    rank = None if best is None else sum(key(c) < key(best) for c in cands)
+    return best, rank, len(cands)
 
 
-def assert_explain_is_reference_minimum(e, rows, eps, k_prime=None):
+def assert_explain_is_reference_minimum(e, rows, eps, k_prime=None, norm="L2_std"):
+    """Returns the number of rows whose closest flip lies beyond the first
+    chunk explain scores."""
+    deep = 0
     for x in rows:
-        res, want = explain(e, x, eps, k_prime=k_prime), reference_explain(e, x, eps, k_prime)
+        res = explain(e, x, eps, k_prime=k_prime, norm=norm)
+        want, rank, n = reference_explain(e, x, eps, k_prime, norm)
+        assert res.n_candidates_evaluated == n
         if want is None:
             assert isinstance(res, NotFound)
             continue
         assert (res.source_tree, res.source_path) == (want.tree_index, want.path_index)
         assert res.distance == want.distance
         np.testing.assert_array_equal(res.transformed, want.values)
+        deep += rank >= _FIRST_CHUNK
+    return deep
 
 
 def test_explain_matches_reference_minimum_on_demo_models(demo_model, deep_demo_model, demo_ds):
+    # L0's integer distances tie heavily, so they exercise the (tree, path) tie-break
     eps = EpsilonPolicy()
-    assert_explain_is_reference_minimum(demo_model, demo_ds.rows[::20], eps)
-    assert_explain_is_reference_minimum(deep_demo_model, demo_ds.rows[3::20], eps)
     k_prime = select_kprime_alpha_mass(deep_demo_model, 0.8).k_prime
-    assert_explain_is_reference_minimum(deep_demo_model, demo_ds.rows[7::20], eps, k_prime)
+    for norm in NORMS:
+        assert_explain_is_reference_minimum(demo_model, demo_ds.rows[::20], eps, norm=norm)
+        deep = assert_explain_is_reference_minimum(deep_demo_model, demo_ds.rows[3::20], eps,
+                                                   norm=norm)
+        deep += assert_explain_is_reference_minimum(deep_demo_model, demo_ds.rows[7::20], eps,
+                                                    k_prime, norm)
+        assert deep > 0, norm  # some closest flips rank beyond the first chunk
+
+
+def counting_margins(monkeypatch):
+    """Record the number of rows of each tweak.ensemble_margins call."""
+    calls = []
+
+    def counted(e, X, *args, **kwargs):
+        calls.append(len(X))
+        return ensemble_margins(e, X, *args, **kwargs)
+
+    monkeypatch.setattr(tweak, "ensemble_margins", counted)
+    return calls
+
+
+def test_explain_not_found_scores_every_chunk(monkeypatch):
+    # 200 stumps each give one candidate; the constant voter outweighs them all
+    n = 200
+    stumps = [stump(0, 1.0 + 8.0 * i / n, -1, 1) for i in range(n)]
+    e = desk_ensemble(stumps + [leaf_tree(-1)], [0.1] * n + [100.0])
+    calls = counting_margins(monkeypatch)
+    res = explain(e, np.array([0.5, 0.5]), EPS_ABS)
+    assert isinstance(res, NotFound)
+    assert res.n_candidates_evaluated == n
+    assert calls == [_FIRST_CHUNK, 2 * _FIRST_CHUNK, n - 3 * _FIRST_CHUNK]
+
+
+def test_explain_scores_fewer_rows_than_candidates(deep_demo_model, demo_ds, monkeypatch):
+    x = demo_ds.rows[3]
+    n = len(generate_candidates(deep_demo_model, x, EpsilonPolicy()))
+    calls = counting_margins(monkeypatch)
+    res = explain(deep_demo_model, x, EpsilonPolicy())
+    assert isinstance(res, Counterfactual) and res.n_candidates_evaluated == n
+    assert 0 < sum(calls) < n
+
+
+def test_candidate_verdicts_are_computed_on_first_access(deep_demo_model, demo_ds, monkeypatch):
+    e, x = deep_demo_model, demo_ds.rows[3]
+    calls = counting_margins(monkeypatch)
+    cands = generate_candidates(e, x, EpsilonPolicy())
+    assert calls == []
+    np.testing.assert_array_equal(cands.ensemble_verdict,
+                                  np.where(ensemble_margins(e, cands.values) > 0, 1, -1))
+    assert calls == [len(cands)]
+    assert cands.ensemble_verdict is cands.ensemble_verdict
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_instance_is_rejected(demo_model, demo_ds, bad):
+    x = demo_ds.rows[3].copy()
+    x[2] = bad
+    for call in (generate_candidates, explain):
+        with pytest.raises(ValueError, match="finite"):
+            call(demo_model, x, EpsilonPolicy())
 
 
 def test_explain_exact_distance_tie_goes_to_the_lower_tree():
