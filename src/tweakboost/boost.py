@@ -2,7 +2,8 @@
 
 Records everything the pruning analysis needs: stage weights alpha_k, staged
 per-tree predictions, and the full post-normalization sample-weight
-trajectory matrix (row 0 is the uniform w_0).
+trajectory matrix (row 0 is the uniform w_0). A loaded model decodes that
+matrix, almost all of its file, only when something reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import FlatTrees, Tree, flatten, grow_tree, tree_from_dict, tree_to_dict
-from .data import Dataset, FeatureSchema, write_text_atomic
+from .data import DataError, Dataset, FeatureSchema, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +49,16 @@ MODEL_VERSION = "tweakboost-model/1"
 # rows * trees per step of ensemble_margins: bounds its (trees, rows) arrays
 _MARGIN_CELLS = 1 << 16
 
+# how save_model writes the start of the trajectory member
+_TRAJECTORY_MEMBER = ', "trajectories": '
+
+
+@dataclass(frozen=True)
+class _TrajectoryText:
+    """A model file's trajectory block, still JSON text."""
+
+    text: str
+
 
 @dataclass
 class Ensemble:
@@ -55,6 +66,8 @@ class Ensemble:
 
     trajectories[k][i] is instance i's normalized weight after round k
     (trajectories[0] is uniform), so the matrix has len(trees)+1 rows.
+    load_model leaves it undecoded: the first read of trajectories (or
+    n_train) decodes and checks it, and raises DataError when it is bad.
     Immutable by convention after training; reads are concurrency-safe.
     """
 
@@ -67,23 +80,47 @@ class Ensemble:
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
+        deferred = isinstance(self.trajectories, _TrajectoryText)
+        if deferred:
+            self._trajectory_text = vars(self).pop("trajectories")
+        else:
+            self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
         self.staged_errors = np.asarray(self.staged_errors, dtype=np.float64)
         k = len(self.trees)
         if self.alphas.shape != (k,):
             raise ValueError(f"{k} trees but {self.alphas.shape[0]} alphas")
         if self.staged_errors.shape != (k,):
             raise ValueError(f"{k} trees but {self.staged_errors.shape[0]} staged errors")
-        if self.trajectories.ndim != 2 or self.trajectories.shape[0] != k + 1:
-            raise ValueError(
-                f"trajectories must have K+1={k + 1} rows, got {self.trajectories.shape}"
-            )
-        if not np.all(np.abs(self.trajectories.sum(axis=1) - 1.0) <= 1e-9):
-            raise ValueError("every trajectory row must sum to 1")
+        if not deferred:
+            self._check_trajectories(self.trajectories)
         if not np.all(np.isfinite(self.alphas) & (self.alphas > 0)):
             raise ValueError("alphas must be finite and positive")
         if not np.all((self.staged_errors >= 0) & (self.staged_errors < 0.5)):  # NaN fails too
             raise ValueError("staged errors must lie in [0, 0.5)")
+
+    def _check_trajectories(self, trajectories: np.ndarray) -> None:
+        k = len(self.trees)
+        if trajectories.ndim != 2 or trajectories.shape[0] != k + 1:
+            raise ValueError(
+                f"trajectories must have K+1={k + 1} rows, got {trajectories.shape}"
+            )
+        if not np.all(np.abs(trajectories.sum(axis=1) - 1.0) <= 1e-9):
+            raise ValueError("every trajectory row must sum to 1")
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: for trajectories, that is
+        # until a loaded model's block is first read and stored.
+        pending = vars(self).get("_trajectory_text")
+        if name != "trajectories" or pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        try:
+            trajectories = np.asarray(json.loads(pending.text), dtype=np.float64)
+            self._check_trajectories(trajectories)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"cannot read the model's trajectory block: {exc}")
+        self.trajectories = trajectories
+        vars(self).pop("_trajectory_text", None)
+        return trajectories
 
     @functools.cached_property
     def flat(self) -> FlatTrees:
@@ -296,11 +333,11 @@ def model_from_dict(d: dict) -> Ensemble:
         )
         for s in d["schema"]
     ]
-    return Ensemble(
+    return Ensemble(  # converts the arrays, but keeps load_model's _TrajectoryText as text
         trees=[tree_from_dict(t, len(schema)) for t in d["trees"]],
-        alphas=np.array(d["alphas"], dtype=np.float64),
-        trajectories=np.array(d["trajectories"], dtype=np.float64),
-        staged_errors=np.array(d["staged_errors"], dtype=np.float64),
+        alphas=d["alphas"],
+        trajectories=d["trajectories"],
+        staged_errors=d["staged_errors"],
         schema=schema,
         config=dict(d["config"]),
     )
@@ -312,5 +349,39 @@ def save_model(e: Ensemble, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> Ensemble:
+    """model_from_dict of the file's JSON. Where the file keeps
+    save_model's layout around the trajectory block, the block is left
+    undecoded until first read (see Ensemble)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        text = fh.read()
+    doc = _split_trajectories(text)
+    return model_from_dict(json.loads(text) if doc is None else doc)
+
+
+def _split_trajectories(text: str) -> dict | None:
+    """json.loads(text) with the top-level "trajectories" member kept as
+    text, or None unless that provably gives what json.loads gives. The
+    member, written as save_model writes it between two others, must hold
+    no '"', '{', '}' or ':', so it ends at the ', "' before the next key;
+    the text before it must parse as an object once '}' closes it, and the
+    text after it once '{' opens it. The member then sits at the top level
+    between two runs of whole members. Any other layout returns None."""
+    start = text.find(_TRAJECTORY_MEMBER)
+    if start < 0:
+        return None
+    begin = start + len(_TRAJECTORY_MEMBER)
+    end = text.find('"', begin)
+    if end < 0 or text[end - 2:end] != ", " or any(text.find(c, begin, end) >= 0 for c in "{}:"):
+        return None
+    try:
+        doc = json.loads(text[:start] + "}")
+        after = json.loads("{" + text[end:])
+    except (ValueError, RecursionError):
+        return None
+    # doc is {} when the member comes first, after a stray comma; a repeated
+    # key would leave json.loads the last of its values
+    if not doc or "trajectories" in doc or "trajectories" in after:
+        return None
+    doc.update(after)
+    doc["trajectories"] = _TrajectoryText(text[begin:end - 2])
+    return doc

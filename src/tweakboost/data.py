@@ -84,9 +84,9 @@ class Dataset:
             raise DataError(
                 f"{self.rows.shape[0]} rows but {self.labels.shape[0]} labels"
             )
-        bad = np.setdiff1d(np.unique(self.labels), [-1, 1])
-        if bad.size:
-            raise DataError(f"labels outside {{-1,+1}}: {bad.tolist()}")
+        bad = (self.labels != -1) & (self.labels != 1)
+        if bad.any():  # np.unique only here: its first call imports numpy.ma
+            raise DataError(f"labels outside {{-1,+1}}: {np.unique(self.labels[bad]).tolist()}")
         if self.rows.shape[1] != len(self.schema):
             raise DataError(
                 f"rows have {self.rows.shape[1]} features, schema has {len(self.schema)}"

@@ -218,6 +218,17 @@ def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray,
     return moved[0], frozenset(np.flatnonzero(tweaked[0]).tolist())
 
 
+def _finite_instance(e: Ensemble, x) -> np.ndarray:
+    """x as a float vector of the model's arity. Raises ValueError on a NaN
+    or infinite value, which has no finite distance to move by."""
+    values = np.asarray(x, dtype=np.float64)
+    e.check_arity(values)
+    if not np.all(np.isfinite(values)):
+        bad = np.flatnonzero(~np.isfinite(values)).tolist()
+        raise ValueError(f"instance values must be finite; features {bad} are not")
+    return values
+
+
 def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
                         k_prime: int | None = None, norm: str = "L2_std") -> Candidates:
     """All epsilon-transform candidates from opposite-sign paths of trees
@@ -227,11 +238,7 @@ def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
     Deterministic ascending (tree, path) order. Raises ValueError on a NaN
     or infinite instance value, which has no finite distance to move by.
     """
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
-    if not np.all(np.isfinite(values)):
-        bad = np.flatnonzero(~np.isfinite(values)).tolist()
-        raise ValueError(f"instance values must be finite; features {bad} are not")
+    values = _finite_instance(e, x)
     if k_prime is not None and not 1 <= k_prime <= e.k:
         raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
     limit = e.k if k_prime is None else k_prime
@@ -317,9 +324,9 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     A feature's split thresholds cut its axis into cells whose values take
     the same branch at every node (a value equal to a threshold goes left),
     so one representative per cell of the threshold lattice is routed and
-    every grid point gets its cell's margin, bit for bit."""
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
+    every grid point gets its cell's margin, bit for bit. Raises ValueError
+    on a non-finite instance."""
+    values = _finite_instance(e, x)
     if len(grid) != e.n_features:
         raise ValueError(f"grid has {len(grid)} axes, model expects {e.n_features}")
     if math.prod(len(axis) for axis in grid) > GRID_GUARD:
@@ -368,9 +375,9 @@ def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> lis
     """Per-feature grids for the oracle that dominate the explain search:
     each axis carries the instance's own value and every epsilon-inside
     point of every threshold on that feature, padded with uniform fill over
-    the training range up to `resolution` values."""
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
+    the training range up to `resolution` values. Raises ValueError on a
+    non-finite instance."""
+    values = _finite_instance(e, x)
     eps_vec = eps.per_feature(e.schema)
     feature, threshold = e.flat.feature, e.flat.threshold
     grid = []

@@ -18,7 +18,7 @@ from tweakboost import (
     update_weights,
     weight_trajectory,
 )
-from tweakboost import make_dataset
+from tweakboost import make_dataset, make_demo_dataset
 from tweakboost.cart import predict_tree
 
 from conftest import desk_ensemble, random_learnable_dataset, stump
@@ -298,6 +298,63 @@ def test_flat_form_is_compiled_on_first_use_only(tmp_path, tiny_ds):
     assert "flat" not in vars(e)  # loading compiles nothing
     predict_ensemble(e, tiny_ds.rows[0])
     assert e.flat is e.flat
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory, demo_model, deep_demo_model):
+    """Saved K=100 models, each with its parsed JSON: the demo data at depth
+    4 and 6, and 6000 demo rows at depth 4."""
+    big = train_adaboost(make_demo_dataset(n_rows=6000), K=100, max_depth=4)
+    out = tmp_path_factory.mktemp("models")
+    saved = []
+    for name, e in (("depth4", demo_model), ("depth6", deep_demo_model), ("rows6000", big)):
+        path = out / f"{name}.json"
+        save_model(e, path)
+        saved.append((path, json.loads(path.read_text())))
+    return saved
+
+
+def full_parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return model_from_dict(json.load(fh))
+
+
+def test_trajectories_are_decoded_on_first_read_only(saved_models):
+    for path, doc in saved_models:
+        e = load_model(path)
+        assert "trajectories" not in vars(e)  # loading decodes no trajectory
+        want = model_from_dict(doc).trajectories
+        assert e.n_train == want.shape[1]
+        assert "trajectories" in vars(e)
+        assert np.array_equal(e.trajectories, want)
+        assert e.trajectories is e.trajectories
+        assert json.dumps(model_to_dict(load_model(path))) == path.read_text()
+
+
+@pytest.mark.parametrize("layout", ["indent", "sort_keys", "nested_copy", "nested_only"])
+def test_load_model_gives_what_the_full_parse_gives(saved_models, tmp_path, layout):
+    # the splitter applies to save_model's layout only; re-dumped files
+    # either keep to it (sort_keys, a nested copy) or take the full parse
+    for path, doc in saved_models:
+        if layout.startswith("nested"):
+            doc = {**doc, "config": {**doc["config"], "trajectories": doc["trajectories"]}}
+            if layout == "nested_only":
+                del doc["trajectories"]
+        redump = tmp_path / f"{path.stem}-{layout}.json"
+        redump.write_text(json.dumps(doc, indent=2 if layout == "indent" else None,
+                                     sort_keys=layout == "sort_keys"))
+        if layout == "nested_only":
+            with pytest.raises(KeyError) as full:
+                full_parse(redump)
+            with pytest.raises(KeyError) as lazy:
+                load_model(redump)
+            assert str(lazy.value) == str(full.value)
+            continue
+        got, want = load_model(redump), full_parse(redump)
+        assert ("trajectories" in vars(got)) == (layout == "indent")
+        assert got.config == want.config
+        assert np.array_equal(got.trajectories, want.trajectories)
+        assert model_to_dict(got) == model_to_dict(want)
 
 
 def test_save_model_is_atomic(tmp_path, tiny_ds):

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from tweakboost import load_model, make_dataset, make_demo_dataset, save_csv, save_model
+from tweakboost import DataError, load_model, make_dataset, make_demo_dataset, save_csv, save_model
 from tweakboost.cli import main, parse_prune_spec
 
-from conftest import desk_ensemble, leaf_tree, stump
+from conftest import desk_ensemble, leaf_tree, random_learnable_dataset, stump
 
 
 def run(argv):
@@ -325,6 +325,93 @@ def test_model_with_invalid_staged_errors_is_data_error(tmp_path, demo_model_pat
                 "--prune", "trajectory"]) == 2
     err = capsys.readouterr().err
     assert "staged errors" in err and "trajectory" not in err
+
+
+# -------------------------------------------------- a corrupt trajectory block
+
+def corrupt_trajectories(doc: dict, kind: str) -> str:
+    """The model's JSON with its trajectory block broken in one way."""
+    traj = [row[:] for row in doc["trajectories"]]
+    if kind == "row-sum":
+        traj[3][0] *= 2.0
+    elif kind == "token":
+        traj[2][5] = "TOKEN"
+    else:  # "k-rows": K rows instead of K+1
+        traj = traj[:-1]
+    return json.dumps({**doc, "trajectories": traj}).replace('"TOKEN"', "oops")
+
+
+@pytest.fixture
+def two_feature_model(tmp_path):
+    """A K=10, depth-2 model of 80 rows with 2 features (small enough for
+    verify's grid) and its training CSV."""
+    data = tmp_path / "data.csv"
+    save_csv(random_learnable_dataset(np.random.default_rng(11), 80, 2), data)
+    model = tmp_path / "model.json"
+    assert run(["train", "--data", str(data), "--k", "10", "--depth", "2",
+                "--out", str(model)]) == 0
+    return model, data
+
+
+def block_free_commands(model, data, out):
+    """Commands that never read the trajectory block, each writing out/<i>."""
+    return [
+        ["explain", "--model", str(model), "--data", str(data), "--row", "3",
+         "--prune", "none", "--out", str(out / "0")],
+        ["explain", "--model", str(model), "--data", str(data), "--row", "3",
+         "--prune", "alpha-mass:0.8", "--out", str(out / "1")],
+        ["explain", "--model", str(model), "--instance", "2.0,7.0",
+         "--prune", "alpha-mass:0.8", "--out", str(out / "2")],
+        ["verify", "--model", str(model), "--data", str(data), "--n-instances", "4",
+         "--out", str(out / "3")],
+        ["report-alphas", "--model", str(model), "--out", str(out / "4")],
+    ]
+
+
+@pytest.mark.parametrize("kind", ["row-sum", "token", "k-rows"])
+def test_corrupt_trajectory_block_is_read_only_where_needed(tmp_path, two_feature_model,
+                                                            capsys, kind):
+    model, data = two_feature_model
+    out = tmp_path / "out"
+    out.mkdir()
+    intact = model.read_text()
+    runs = []
+    for text in (intact, corrupt_trajectories(json.loads(intact), kind)):
+        model.write_text(text)
+        for argv in block_free_commands(model, data, out):
+            assert run(argv) == 0, argv
+        runs.append((capsys.readouterr(), [(out / str(i)).read_bytes() for i in range(5)]))
+    assert runs[0] == runs[1]
+
+    for argv in (["explain", "--model", str(model), "--data", str(data), "--row", "3",
+                  "--prune", "trajectory:5,0.5", "--out", str(tmp_path / "t.json")],
+                 ["explain", "--model", str(model), "--data", str(data), "--row", "3",
+                  "--prune", "both:0.8,5,0.5", "--out", str(tmp_path / "b.json")],
+                 ["report-trajectories", "--model", str(model), "--instances", "0,5",
+                  "--out-dir", str(tmp_path / "traj")]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, argv
+        assert "cannot read the model's trajectory block" in captured.err
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "t.json").exists() and not (tmp_path / "traj").exists()
+
+    e = load_model(model)
+    for read in (lambda: e.trajectories, lambda: e.n_train):
+        with pytest.raises(DataError) as exc:
+            read()
+        assert isinstance(exc.value, ValueError)
+
+
+def test_model_whose_only_trajectory_block_is_nested_is_data_error(tmp_path, demo_model_path,
+                                                                   capsys):
+    doc = json.loads(demo_model_path.read_text())
+    doc["config"]["trajectories"] = doc.pop("trajectories")
+    bad = tmp_path / "nested.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(bad), "--demo", "--row", "1"]) == 2
+    assert capsys.readouterr().err == f"tweakboost: data error: cannot read model {bad}: 'trajectories'\n"
 
 
 def test_explain_rerun_output_is_byte_identical(tmp_path, demo_model_path):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -32,6 +36,32 @@ def test_make_dataset_validates_labels():
         make_dataset(rows, [2, -1], ["a"])
     ds = make_dataset(rows, [1, -1], ["a"])
     assert ds.labels.tolist() == [1, -1]
+
+
+def test_label_error_names_each_bad_label_once():
+    rows = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+    with pytest.raises(DataError, match=r"^labels outside \{-1,\+1\}: \[0, 2, 5\]$"):
+        make_dataset(rows, [5, -1, 2, 0, 5], ["a"])
+
+
+def test_loading_the_demo_data_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma, about 14 ms of every process
+    # that reads data; numpy 1.x imports it with numpy itself
+    probe = ("import sys, numpy\n"
+             "if 'numpy.ma' in sys.modules:\n"
+             "    print('preloaded')\n"
+             "else:\n"
+             "    import tweakboost\n"
+             "    tweakboost.make_demo_dataset()\n"
+             "    print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.strip()
+    if out == "preloaded":
+        pytest.skip("this numpy imports numpy.ma on import")
+    assert out == "False"
 
 
 def test_rows_are_read_only():

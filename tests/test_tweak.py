@@ -703,6 +703,21 @@ def test_oracle_matches_pointwise_reference_on_one_feature_models():
         assert_oracle_matches_reference(e, x, oracle_grid(e, x, EpsilonPolicy(), resolution=30))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracle_rejects_a_non_finite_instance(two_feature_model, bad):
+    e, ds = two_feature_model
+    x = ds.rows[3].copy()
+    grid = oracle_grid(e, x, EpsilonPolicy(), resolution=20)
+    x[1] = bad
+    message = r"instance values must be finite; features \[1\] are not"
+    with pytest.raises(ValueError, match=message):
+        brute_force_oracle(e, x, grid)
+    with pytest.raises(ValueError, match=message):
+        oracle_grid(e, x, EpsilonPolicy(), resolution=20)
+    with pytest.raises(ValueError, match=message):
+        generate_candidates(e, x, EpsilonPolicy())
+
+
 def test_oracle_empty_axis_grid_is_not_found():
     e = three_stump_ensemble()
     x = np.array([2.0, 0.5])
