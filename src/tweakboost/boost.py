@@ -2,8 +2,12 @@
 
 Records everything the pruning analysis needs: stage weights alpha_k, staged
 per-tree predictions, and the full post-normalization sample-weight
-trajectory matrix (row 0 is the uniform w_0). A loaded model decodes that
-matrix, almost all of its file, only when something reads it.
+trajectory matrix (row 0 is the uniform w_0). That matrix is almost all
+of a model file, so neither direction holds it as one piece of text:
+save_model writes it one row at a time, and load_model reads the file as
+bytes and leaves the matrix undecoded, as offsets into those bytes, until
+something reads it. A file that is not all ASCII (save_model escapes every
+non-ASCII name, so it never writes one) takes the full parse instead.
 """
 
 from __future__ import annotations
@@ -49,15 +53,22 @@ MODEL_VERSION = "tweakboost-model/1"
 # rows * trees per step of ensemble_margins: bounds its (trees, rows) arrays
 _MARGIN_CELLS = 1 << 16
 
-# how save_model writes the start of the trajectory member
+# how save_model writes the start of the trajectory member, and load_model finds it
 _TRAJECTORY_MEMBER = ', "trajectories": '
 
 
 @dataclass(frozen=True)
 class _TrajectoryText:
-    """A model file's trajectory block, still JSON text."""
+    """A model file's trajectory block, still JSON text: data[begin:end] of
+    the ASCII bytes load_model read, held as offsets so that the block is
+    not copied out of the file."""
 
-    text: str
+    data: bytes
+    begin: int
+    end: int
+
+    def decode(self) -> str:
+        return str(memoryview(self.data)[self.begin:self.end], "ascii")
 
 
 @dataclass
@@ -113,8 +124,11 @@ class Ensemble:
         pending = vars(self).get("_trajectory_text")
         if name != "trajectories" or pending is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if isinstance(pending, _TrajectoryText):
+            # to text, letting go of the file's bytes: the parse's floats are the larger peak
+            pending = self._trajectory_text = pending.decode()
         try:
-            trajectories = np.asarray(json.loads(pending.text), dtype=np.float64)
+            trajectories = np.asarray(json.loads(pending), dtype=np.float64)
             self._check_trajectories(trajectories)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise DataError(f"cannot read the model's trajectory block: {exc}")
@@ -283,6 +297,11 @@ def weight_trajectory(e: Ensemble, i: int) -> np.ndarray:
 
 def model_to_dict(e: Ensemble) -> dict:
     """Single-document JSON form; key order fixed for byte-stable output."""
+    return _model_doc(e, e.trajectories.tolist())
+
+
+def _model_doc(e: Ensemble, trajectories) -> dict:
+    """model_to_dict(e) with `trajectories` as its trajectory member."""
     return {
         "version": MODEL_VERSION,
         "schema": [
@@ -299,7 +318,7 @@ def model_to_dict(e: Ensemble) -> dict:
         ],
         "alphas": e.alphas.tolist(),
         "trees": [tree_to_dict(t) for t in e.trees],
-        "trajectories": e.trajectories.tolist(),
+        "trajectories": trajectories,
         "staged_errors": e.staged_errors.tolist(),
         "config": {
             "K": e.config.get("K"),
@@ -344,38 +363,65 @@ def model_from_dict(d: dict) -> Ensemble:
 
 
 def save_model(e: Ensemble, path: str | os.PathLike) -> None:
-    """Atomic write (data.write_text_atomic) of the JSON form."""
-    write_text_atomic(path, json.dumps(model_to_dict(e)))
+    """Atomic write (data.write_text_atomic) of json.dumps(model_to_dict(e)),
+    streamed: the trajectory matrix is never held as one list or string."""
+    write_text_atomic(path, _model_chunks(e))
+
+
+def _model_chunks(e: Ensemble):
+    """json.dumps(model_to_dict(e)) in pieces: the members before the
+    trajectory member, its rows one by one, the members after it. The
+    default separators are ", " and ": ", so the pieces join to those bytes."""
+    doc = _model_doc(e, None)
+    keys = list(doc)
+    cut = keys.index("trajectories")
+    yield json.dumps({key: doc[key] for key in keys[:cut]})[:-1] + _TRAJECTORY_MEMBER + "["
+    for i, row in enumerate(e.trajectories):
+        yield (", " if i else "") + json.dumps(row.tolist())
+    yield "], " + json.dumps({key: doc[key] for key in keys[cut + 1:]})[1:]
 
 
 def load_model(path: str | os.PathLike) -> Ensemble:
-    """model_from_dict of the file's JSON. Where the file keeps
-    save_model's layout around the trajectory block, the block is left
-    undecoded until first read (see Ensemble)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = _split_trajectories(text)
-    return model_from_dict(json.loads(text) if doc is None else doc)
+    """model_from_dict of the file's JSON, read as text mode reads it. Where
+    the file is ASCII and keeps save_model's layout around the trajectory
+    block, the block is left undecoded until first read (see Ensemble)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii():  # a whole-file check: slicing out the block to check it would copy it
+        data = _universal_newlines(data)
+        doc = _split_trajectories(data)
+        if doc is not None:
+            return model_from_dict(doc)
+    # decoded first: json.loads of bytes would also take a UTF-8 BOM and UTF-16/32
+    return model_from_dict(json.loads(_universal_newlines(data.decode("utf-8"))))
 
 
-def _split_trajectories(text: str) -> dict | None:
-    """json.loads(text) with the top-level "trajectories" member kept as
+def _universal_newlines(s):
+    """s (str or bytes) with each CR LF and lone CR made LF, as text mode
+    reads a file: the positions in a parse error count in that text."""
+    cr, lf = ("\r", "\n") if isinstance(s, str) else (b"\r", b"\n")
+    return s.replace(cr + lf, lf).replace(cr, lf) if cr in s else s
+
+
+def _split_trajectories(data: bytes) -> dict | None:
+    """json.loads(data) with the top-level "trajectories" member kept as
     text, or None unless that provably gives what json.loads gives. The
     member, written as save_model writes it between two others, must hold
     no '"', '{', '}' or ':', so it ends at the ', "' before the next key;
     the text before it must parse as an object once '}' closes it, and the
     text after it once '{' opens it. The member then sits at the top level
     between two runs of whole members. Any other layout returns None."""
-    start = text.find(_TRAJECTORY_MEMBER)
+    member = _TRAJECTORY_MEMBER.encode()
+    start = data.find(member)
     if start < 0:
         return None
-    begin = start + len(_TRAJECTORY_MEMBER)
-    end = text.find('"', begin)
-    if end < 0 or text[end - 2:end] != ", " or any(text.find(c, begin, end) >= 0 for c in "{}:"):
+    begin = start + len(member)
+    end = data.find(b'"', begin)
+    if end < 0 or data[end - 2:end] != b", " or any(data.find(c, begin, end) >= 0 for c in b"{}:"):
         return None
-    try:
-        doc = json.loads(text[:start] + "}")
-        after = json.loads("{" + text[end:])
+    try:  # parsed as str: json.loads would read bytes that start with a NUL as UTF-16/32
+        doc = json.loads(data[:start].decode("ascii") + "}")
+        after = json.loads("{" + data[end:].decode("ascii"))
     except (ValueError, RecursionError):
         return None
     # doc is {} when the member comes first, after a stray comma; a repeated
@@ -383,5 +429,5 @@ def _split_trajectories(text: str) -> dict | None:
     if not doc or "trajectories" in doc or "trajectories" in after:
         return None
     doc.update(after)
-    doc["trajectories"] = _TrajectoryText(text[begin:end - 2])
+    doc["trajectories"] = _TrajectoryText(data, begin, end - 2)
     return doc

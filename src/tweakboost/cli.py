@@ -222,7 +222,7 @@ def cmd_explain(args) -> int:
         payload["message"] = result.message
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        write_text_atomic(args.out, text)
+        write_text_atomic(args.out, [text])
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -240,7 +240,7 @@ def cmd_report_alphas(args) -> int:
     cum = np.cumsum(e.alphas)
     for k in range(e.k):
         lines.append(f"{k + 1},{float(e.alphas[k])!r},{float(cum[k]) / total!r}")
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
+    write_text_atomic(args.out, [f"{line}\n" for line in lines])
     print(f"alpha report written: {args.out} ({e.k} rows)")
     return EXIT_OK
 
@@ -266,7 +266,7 @@ def cmd_report_trajectories(args) -> int:
         for k, w in enumerate(e.trajectories[:, i].tolist()):
             lines.append(f"{k},{w!r}")
         path = os.path.join(args.out_dir, f"trajectory_{i}.csv")
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        write_text_atomic(path, [f"{line}\n" for line in lines])
         print(f"trajectory written: {path} ({e.k + 1} rows)")
     return EXIT_OK
 
@@ -337,7 +337,7 @@ def cmd_verify(args) -> int:
         out.write(f"{i},{fe},{fo},{str(agree).lower()}\n")
     text = out.getvalue()
     if args.out:
-        write_text_atomic(args.out, text)
+        write_text_atomic(args.out, [text])
     sys.stdout.write(text)
     rate = agreements / solvable if solvable else 1.0
     print(f"# summary: {n} instances, {solvable} solvable, "

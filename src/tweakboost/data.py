@@ -14,6 +14,7 @@ import csv
 import functools
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,16 +233,18 @@ def save_csv(ds: Dataset, path: str | os.PathLike, label_column: str = "label") 
             writer.writerow([repr(float(v)) for v in ds.rows[i]] + [str(int(ds.labels[i]))])
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write text through a temp file beside path and a rename, so a reader
-    never sees a partial file. When the write or the rename fails the temp
-    file is removed and the OSError propagates."""
+def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Write the text chunks in order through a temp file beside path and a
+    rename, so a reader never sees a partial file. A generator of chunks is
+    drawn while the file is written, so the whole text need never be held.
+    When the write, the rename or the chunks fail, the temp file is removed
+    and the error propagates."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise

@@ -362,13 +362,26 @@ def _lattice_margins(e: Ensemble, axes: list[np.ndarray]) -> np.ndarray:
     flat = e.flat
     reps, cells = [], []
     for f, axis in enumerate(axes):
-        cut = np.unique(flat.threshold[flat.feature == f])
-        _, first, cell = np.unique(np.searchsorted(cut, axis, side="left"),
-                                   return_index=True, return_inverse=True)
+        cut, _, _ = _unique(flat.threshold[flat.feature == f])
+        _, first, cell = _unique(np.searchsorted(cut, axis, side="left"))
         reps.append(axis[first])
         cells.append(cell)
     margins = ensemble_margins(e, _product(reps)).reshape([len(r) for r in reps])
     return margins[np.ix_(*cells)].ravel()
+
+
+def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(a, return_index=True, return_inverse=True) of a 1-D array
+    without NaNs, from one stable sort: the sorted distinct values, the
+    index of each one's first occurrence, and each element's place among
+    them. np.unique itself would import numpy.ma on its first call."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], order[starts], inverse
 
 
 def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> list[np.ndarray]:

@@ -1,8 +1,32 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from tweakboost import Ensemble, FeatureSchema, make_dataset, make_demo_dataset, train_adaboost
 from tweakboost.cart import Internal, Leaf, Tree
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def numpy_ma_probe(work: str) -> str:
+    """Run the lines of `work` in a fresh interpreter and say whether they
+    imported numpy.ma: "True", "False", or "preloaded" where numpy imports
+    it with itself (numpy 1.x does). np.unique's first call imports it,
+    which costs every such process 8-14 ms."""
+    probe = ("import sys, numpy\n"
+             "if 'numpy.ma' in sys.modules:\n"
+             "    print('preloaded')\n"
+             "else:\n"
+             + "".join(f"    {line}\n" for line in work.splitlines())
+             + "    print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    return out.splitlines()[-1]
 
 
 def stump(feature: int, threshold: float, left_sign: int, right_sign: int) -> Tree:

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tweakboost import (
     MODEL_VERSION,
+    DataError,
     alpha,
     ensemble_margins,
     load_model,
@@ -364,3 +366,112 @@ def test_save_model_is_atomic(tmp_path, tiny_ds):
     leftovers = [p for p in tmp_path.iterdir() if p.name != "m.json"]
     assert leftovers == []
     json.loads(path.read_text())
+
+    # a loaded model whose block is corrupt fails mid-stream: the old file stays, no temp file
+    doc = json.loads(path.read_text())
+    doc["trajectories"][0][0] += 0.5
+    path.write_text(json.dumps(doc))
+    corrupt = load_model(path)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="trajectory block"):
+        save_model(corrupt, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@pytest.fixture(scope="module")
+def rows3000_model():
+    """K=100 at depth 4 on 3000 demo rows: a 7 MB file, 99% trajectory block."""
+    return train_adaboost(make_demo_dataset(n_rows=3000), K=100, max_depth=4)
+
+
+def test_save_model_writes_what_json_dumps_writes(tmp_path, tiny_ds, demo_model,
+                                                  deep_demo_model, rows3000_model):
+    # save_model streams the trajectory rows; the bytes are still those of one json.dumps
+    xor = make_dataset([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], [-1, -1, 1, 1],
+                       ["a", "b"])
+    models = {
+        "one_round": train_adaboost(random_learnable_dataset(np.random.default_rng(3), 40, 3),
+                                    K=1, max_depth=2),
+        "halted_perfect": train_adaboost(tiny_ds, K=10, max_depth=3),
+        "halted_chance": train_adaboost(xor, K=5, max_depth=1),  # no trees, one trajectory row
+        "demo_depth4": demo_model,
+        "demo_depth6": deep_demo_model,
+        "rows3000": rows3000_model,
+        "non_ascii": train_adaboost(make_dataset(tiny_ds.rows, tiny_ds.labels, ["é", "名"]),
+                                    K=3, max_depth=1),
+    }
+    for name, e in models.items():
+        path = tmp_path / f"{name}.json"
+        save_model(e, path)
+        assert path.read_bytes() == json.dumps(model_to_dict(e)).encode("utf-8"), name
+    path = tmp_path / "rows3000.json"
+    save_model(load_model(path), tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+
+
+def test_save_and_load_hold_less_than_a_copy_of_the_file(tmp_path, rows3000_model):
+    # peaks as ratios to the file's size: save never holds the trajectory block
+    # as text or as a list of floats, and load holds the file's bytes once
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        save_model(rows3000_model, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        e = load_model(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - held
+        assert "trajectories" not in vars(e)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        e.trajectories
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    assert save_peak < 0.5 * size
+    assert load_peak < 1.25 * size
+    assert read_peak < 2.0 * size  # the bytes go before the parse builds its floats
+
+
+def model_bytes_as(saved_models, case: str) -> bytes:
+    """The demo depth-4 model's file, changed in one way."""
+    path, doc = saved_models[0]
+    data = path.read_bytes()
+    if case == "bom":
+        return b"\xef\xbb\xbf" + data
+    if case == "invalid_utf8":  # in the trajectory block
+        return data.replace(b"[[", b"[[\xff", 1)
+    if case == "nul_first":  # json.loads of these bytes would decode them as UTF-16
+        return b"\x00" + data
+    if case == "crlf_error":  # the error's line and column count in text mode's newlines
+        return json.dumps(doc, indent=1).replace("\n", "\r\n").encode()[:-40]
+    if case == "crlf_end":
+        return data + b"\r\n"
+    if case == "non_ascii":
+        doc = {**doc, "schema": [{**doc["schema"][0], "name": "é"}, *doc["schema"][1:]]}
+        return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["bom", "invalid_utf8", "nul_first", "crlf_error"])
+def test_load_model_fails_as_the_text_mode_parse_fails(saved_models, tmp_path, case):
+    path = tmp_path / "m.json"
+    path.write_bytes(model_bytes_as(saved_models, case))
+    with pytest.raises(ValueError) as full:
+        full_parse(path)
+    with pytest.raises(type(full.value)) as got:
+        load_model(path)
+    assert str(got.value) == str(full.value)
+
+
+@pytest.mark.parametrize("case", ["crlf_end", "non_ascii"])
+def test_load_model_reads_what_the_text_mode_parse_reads(saved_models, tmp_path, case):
+    # a non-ASCII file takes the full parse; a CR LF ending keeps the block deferred
+    path = tmp_path / "m.json"
+    path.write_bytes(model_bytes_as(saved_models, case))
+    got, want = load_model(path), full_parse(path)
+    assert ("trajectories" in vars(got)) == (case == "non_ascii")
+    assert model_to_dict(got) == model_to_dict(want)

@@ -6,7 +6,7 @@ import pytest
 from tweakboost import DataError, load_model, make_dataset, make_demo_dataset, save_csv, save_model
 from tweakboost.cli import main, parse_prune_spec
 
-from conftest import desk_ensemble, leaf_tree, random_learnable_dataset, stump
+from conftest import desk_ensemble, leaf_tree, numpy_ma_probe, random_learnable_dataset, stump
 
 
 def run(argv):
@@ -414,6 +414,40 @@ def test_model_whose_only_trajectory_block_is_nested_is_data_error(tmp_path, dem
     assert capsys.readouterr().err == f"tweakboost: data error: cannot read model {bad}: 'trajectories'\n"
 
 
+def test_model_file_that_is_not_plain_utf8_json_is_data_error(tmp_path, demo_model_path,
+                                                              capsys):
+    data = demo_model_path.read_bytes()
+    bom, invalid = tmp_path / "bom.json", tmp_path / "invalid.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + data)
+    invalid.write_bytes(data.replace(b"[[", b"[[\xff", 1))
+    bad_at = invalid.read_bytes().index(b"\xff")
+    for path, message in (
+            (bom, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (invalid, f"'utf-8' codec can't decode byte 0xff in position {bad_at}: "
+                      "invalid start byte")):
+        assert run(["explain", "--model", str(path), "--demo", "--row", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"tweakboost: data error: cannot read model {path}: {message}\n")
+
+
+def test_model_redumped_with_non_ascii_names_explains_alike(tmp_path, demo_model_path,
+                                                           monkeypatch):
+    # a file that is not all ASCII takes the full parse, and nothing else changes
+    doc = json.loads(demo_model_path.read_text())
+    doc["schema"][0]["name"] = "é"
+    outs = []
+    for ensure_ascii in (True, False):
+        work = tmp_path / f"ensure_ascii-{ensure_ascii}"
+        work.mkdir()
+        (work / "model.json").write_bytes(json.dumps(doc, ensure_ascii=ensure_ascii).encode())
+        monkeypatch.chdir(work)  # the explanation records the model's path
+        assert run(["explain", "--model", "model.json", "--demo", "--row", "3",
+                    "--prune", "both:0.8,5,0.5", "--out", "explain.json"]) == 0
+        outs.append((work / "explain.json").read_bytes())
+        assert ("trajectories" in vars(load_model("model.json"))) == (not ensure_ascii)
+    assert outs[0] == outs[1]
+
+
 def test_explain_rerun_output_is_byte_identical(tmp_path, demo_model_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["explain", "--model", str(demo_model_path), "--demo", "--row", "5"]
@@ -577,6 +611,18 @@ def test_verify_oversized_grid(tmp_path, demo_model_path):
     code = run(["verify", "--model", str(demo_model_path), "--demo",
                 "--n-instances", "1"])
     assert code == 2
+
+
+def test_verify_leaves_numpy_ma_unimported(two_feature_model):
+    # the oracle's lattice finds its distinct thresholds and cells without np.unique
+    model, data = two_feature_model
+    out = numpy_ma_probe(
+        "from tweakboost.cli import main\n"
+        f"assert main(['verify', '--model', {str(model)!r}, '--data', {str(data)!r}, "
+        "'--n-instances', '4']) == 0")
+    if out == "preloaded":
+        pytest.skip("this numpy imports numpy.ma on import")
+    assert out == "False"
 
 
 # -------------------------------------------------- usage

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -14,6 +10,9 @@ from tweakboost import (
     parse_label_map,
     save_csv,
 )
+from tweakboost.data import write_text_atomic
+
+from conftest import numpy_ma_probe
 
 
 def test_schema_population_stats():
@@ -45,20 +44,7 @@ def test_label_error_names_each_bad_label_once():
 
 
 def test_loading_the_demo_data_leaves_numpy_ma_unimported():
-    # np.unique's first call imports numpy.ma, about 14 ms of every process
-    # that reads data; numpy 1.x imports it with numpy itself
-    probe = ("import sys, numpy\n"
-             "if 'numpy.ma' in sys.modules:\n"
-             "    print('preloaded')\n"
-             "else:\n"
-             "    import tweakboost\n"
-             "    tweakboost.make_demo_dataset()\n"
-             "    print('numpy.ma' in sys.modules)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout.strip()
+    out = numpy_ma_probe("import tweakboost\ntweakboost.make_demo_dataset()")
     if out == "preloaded":
         pytest.skip("this numpy imports numpy.ma on import")
     assert out == "False"
@@ -80,6 +66,21 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     assert back.feature_names == ds.feature_names
     assert back.schema == ds.schema
+
+
+def test_write_text_atomic_writes_chunks_and_leaves_nothing_when_they_fail(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, (f"{i}\n" for i in range(3)))
+    assert path.read_text() == "0\n1\n2\n"
+
+    def failing():
+        yield "partial\n"
+        raise RuntimeError("no more chunks")  # not an OSError, and the temp file still goes
+
+    with pytest.raises(RuntimeError, match="no more chunks"):
+        write_text_atomic(path, failing())
+    assert path.read_text() == "0\n1\n2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_load_csv_label_map(tmp_path):
