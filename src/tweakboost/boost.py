@@ -6,13 +6,16 @@ trajectory matrix (row 0 is the uniform w_0). That matrix is almost all
 of a model file, so neither direction holds it as one piece of text:
 save_model writes it one row at a time, and load_model reads the file as
 bytes and leaves the matrix undecoded, as offsets into those bytes, until
-something reads it. A file that is not all ASCII (save_model escapes every
-non-ASCII name, so it never writes one) takes the full parse instead.
+something reads it. CR and LF are both JSON whitespace, so that path
+translates no line ends. Any other file, such as one that is not all ASCII
+(save_model escapes every non-ASCII name, so it never writes one), is parsed
+whole from the stdlib's text mode over the bytes read.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import logging
 import math
@@ -387,20 +390,11 @@ def load_model(path: str | os.PathLike) -> Ensemble:
     block, the block is left undecoded until first read (see Ensemble)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data.isascii():  # a whole-file check: slicing out the block to check it would copy it
-        data = _universal_newlines(data)
-        doc = _split_trajectories(data)
-        if doc is not None:
-            return model_from_dict(doc)
-    # decoded first: json.loads of bytes would also take a UTF-8 BOM and UTF-16/32
-    return model_from_dict(json.loads(_universal_newlines(data.decode("utf-8"))))
-
-
-def _universal_newlines(s):
-    """s (str or bytes) with each CR LF and lone CR made LF, as text mode
-    reads a file: the positions in a parse error count in that text."""
-    cr, lf = ("\r", "\n") if isinstance(s, str) else (b"\r", b"\n")
-    return s.replace(cr + lf, lf).replace(cr, lf) if cr in s else s
+    # a whole-file check: slicing out the block to check it would copy it
+    doc = _split_trajectories(data) if data.isascii() else None
+    if doc is None:  # text mode over the bytes read, so every error reads as open()'s would
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    return model_from_dict(doc)
 
 
 def _split_trajectories(data: bytes) -> dict | None:

@@ -123,9 +123,6 @@ class FeasibleBox:
     feasible: bool = True
     infeasible_features: tuple[int, ...] = field(default=())
 
-    def contains(self, values: np.ndarray) -> bool:
-        return bool(np.all(values > self.lower) and np.all(values <= self.upper))
-
 
 def _leaf(pos: float, neg: float) -> Leaf:
     total = pos + neg

@@ -16,7 +16,6 @@ self-describing. Exit codes are stable:
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import math
@@ -82,7 +81,7 @@ def _load_model_or_die(path: str) -> Ensemble:
         return load_model(path)
     except FileNotFoundError:
         raise DataError(f"no such model file: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read model {path}: {exc}")
 
 
@@ -93,9 +92,19 @@ def _load_dataset(args) -> Dataset:
     return load_csv(args.data, label_column=args.label_column, label_map=label_map)
 
 
-def _config_comment_lines(config: dict) -> list[str]:
-    blob = json.dumps(config, sort_keys=True)
-    return [f"# model_version: {MODEL_VERSION}", f"# config: {blob}"]
+def _report_text(config: dict, header: str, rows) -> str:
+    """A CSV report: the model version and the resolved config as comment
+    lines, the header, then one line per row of cells. A cell is written
+    as its repr, None as empty and a bool in lower case."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return str(v).lower() if isinstance(v, bool) else repr(v)
+
+    lines = [f"# model_version: {MODEL_VERSION}",
+             f"# config: {json.dumps(config, sort_keys=True)}", header,
+             *(",".join(map(cell, row)) for row in rows)]
+    return "".join(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------- train
@@ -233,14 +242,11 @@ def cmd_explain(args) -> int:
 
 def cmd_report_alphas(args) -> int:
     e = _load_model_or_die(args.model)
-    config = {"command": "report-alphas", "model": args.model}
-    lines = _config_comment_lines(config)
-    lines.append("k,alpha,cumulative_mass")
-    total = float(e.alphas.sum())
-    cum = np.cumsum(e.alphas)
-    for k in range(e.k):
-        lines.append(f"{k + 1},{float(e.alphas[k])!r},{float(cum[k]) / total!r}")
-    write_text_atomic(args.out, [f"{line}\n" for line in lines])
+    mass = np.cumsum(e.alphas) / e.alphas.sum()
+    text = _report_text({"command": "report-alphas", "model": args.model},
+                        "k,alpha,cumulative_mass",
+                        zip(range(1, e.k + 1), e.alphas.tolist(), mass.tolist()))
+    write_text_atomic(args.out, [text])
     print(f"alpha report written: {args.out} ({e.k} rows)")
     return EXIT_OK
 
@@ -261,12 +267,9 @@ def cmd_report_trajectories(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for i in indices:
         config = {"command": "report-trajectories", "model": args.model, "instance": i}
-        lines = _config_comment_lines(config)
-        lines.append("k,w")
-        for k, w in enumerate(e.trajectories[:, i].tolist()):
-            lines.append(f"{k},{w!r}")
+        text = _report_text(config, "k,w", enumerate(e.trajectories[:, i].tolist()))
         path = os.path.join(args.out_dir, f"trajectory_{i}.csv")
-        write_text_atomic(path, [f"{line}\n" for line in lines])
+        write_text_atomic(path, [text])
         print(f"trajectory written: {path} ({e.k + 1} rows)")
     return EXIT_OK
 
@@ -322,20 +325,12 @@ def cmd_verify(args) -> int:
             )
         rows.append((i, d_e, d_o, agree))
 
-    out = io.StringIO()
     config = {
         "command": "verify", "model": args.model, "n_instances": n,
         "resolution": args.resolution, "epsilon_mode": args.epsilon_mode,
         "epsilon": args.epsilon, "norm": args.norm, "slack": slack,
     }
-    for line in _config_comment_lines(config):
-        out.write(line + "\n")
-    out.write("instance,explain_distance,oracle_distance,agree\n")
-    for i, d_e, d_o, agree in rows:
-        fe = "" if d_e is None else repr(d_e)
-        fo = "" if d_o is None else repr(d_o)
-        out.write(f"{i},{fe},{fo},{str(agree).lower()}\n")
-    text = out.getvalue()
+    text = _report_text(config, "instance,explain_distance,oracle_distance,agree", rows)
     if args.out:
         write_text_atomic(args.out, [text])
     sys.stdout.write(text)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import math
 import os
 from collections.abc import Iterable
@@ -224,13 +225,15 @@ def load_csv(path: str | os.PathLike, label_column: str,
 
 
 def save_csv(ds: Dataset, path: str | os.PathLike, label_column: str = "label") -> None:
-    """Write a Dataset back to the CSV contract. Floats are written with repr
-    so a reload reproduces rows, labels and schema stats exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.feature_names + [label_column])
-        for i in range(ds.n_rows):
-            writer.writerow([repr(float(v)) for v in ds.rows[i]] + [str(int(ds.labels[i]))])
+    """Write a Dataset back to the CSV contract, atomically (write_text_atomic).
+    Floats are written with repr so a reload reproduces rows, labels and
+    schema stats exactly."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(ds.feature_names + [label_column])
+    for i in range(ds.n_rows):
+        writer.writerow([repr(float(v)) for v in ds.rows[i]] + [str(int(ds.labels[i]))])
+    write_text_atomic(path, [buf.getvalue()])
 
 
 def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:

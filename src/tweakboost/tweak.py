@@ -197,8 +197,7 @@ def _epsilon_step(values: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return np.where(inside, values, moved), ~inside, ok
 
 
-def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray,
-                      n_features: int | None = None):
+def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray):
     """Minimal per-feature edit of x that satisfies one path: the epsilon
     rule of generate_candidates for a single box. Returns
     (values, tweaked_feature_set), or None when some required interval is
@@ -206,7 +205,7 @@ def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray,
     """
     values = np.asarray(x, dtype=np.float64)
     n = values.shape[0]
-    box = path_to_box(p, n_features or n) if isinstance(p, Path) else p
+    box = path_to_box(p, n) if isinstance(p, Path) else p
     if n != box.lower.shape[0]:
         raise ValueError(f"instance arity {n} != box arity {box.lower.shape[0]}")
     if not box.feasible:
@@ -389,14 +388,20 @@ def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> lis
     each axis carries the instance's own value and every epsilon-inside
     point of every threshold on that feature, padded with uniform fill over
     the training range up to `resolution` values. Raises ValueError on a
-    non-finite instance."""
+    non-finite instance, and GridGuardError before any fill when the axes'
+    least sizes already multiply past GRID_GUARD."""
     values = _finite_instance(e, x)
     eps_vec = eps.per_feature(e.schema)
     feature, threshold = e.flat.feature, e.flat.threshold
-    grid = []
+    axes = []
     for f in range(e.n_features):
         thr = threshold[feature == f]
-        pts = {float(values[f]), *(thr - eps_vec[f]).tolist(), *(thr + eps_vec[f]).tolist()}
+        axes.append({float(values[f]), *(thr - eps_vec[f]).tolist(), *(thr + eps_vec[f]).tolist()})
+    # an axis holds its points and its distinct fill values, at least the larger count
+    if math.prod(max(len(pts), resolution - len(pts)) for pts in axes) > GRID_GUARD:
+        raise GridGuardError(f"grid size exceeds the {GRID_GUARD} point guard")
+    grid = []
+    for f, pts in enumerate(axes):
         fill = max(0, resolution - len(pts))
         if fill:
             lo, hi = e.schema[f].min, e.schema[f].max

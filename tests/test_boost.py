@@ -20,7 +20,7 @@ from tweakboost import (
     update_weights,
     weight_trajectory,
 )
-from tweakboost import make_dataset, make_demo_dataset
+from tweakboost import make_dataset, make_demo_dataset, save_csv
 from tweakboost.cart import predict_tree
 
 from conftest import desk_ensemble, random_learnable_dataset, stump
@@ -379,6 +379,22 @@ def test_save_model_is_atomic(tmp_path, tiny_ds):
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
+def test_save_csv_is_atomic(tmp_path, tiny_ds, monkeypatch):
+    path = tmp_path / "d.csv"
+    save_csv(tiny_ds, path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    # a failed rename keeps the old file whole and leaves no temp file beside it
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        save_csv(make_dataset(tiny_ds.rows[:2], [-1, 1], tiny_ds.feature_names), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
 @pytest.fixture(scope="module")
 def rows3000_model():
     """K=100 at depth 4 on 3000 demo rows: a 7 MB file, 99% trajectory block."""
@@ -450,6 +466,8 @@ def model_bytes_as(saved_models, case: str) -> bytes:
         return json.dumps(doc, indent=1).replace("\n", "\r\n").encode()[:-40]
     if case == "crlf_end":
         return data + b"\r\n"
+    if case == "crlf_block":  # JSON whitespace inside the trajectory block
+        return data.replace(b"], [", b"],\r\n [", 3)
     if case == "non_ascii":
         doc = {**doc, "schema": [{**doc["schema"][0], "name": "é"}, *doc["schema"][1:]]}
         return json.dumps(doc, ensure_ascii=False).encode("utf-8")
@@ -467,9 +485,9 @@ def test_load_model_fails_as_the_text_mode_parse_fails(saved_models, tmp_path, c
     assert str(got.value) == str(full.value)
 
 
-@pytest.mark.parametrize("case", ["crlf_end", "non_ascii"])
+@pytest.mark.parametrize("case", ["crlf_end", "crlf_block", "non_ascii"])
 def test_load_model_reads_what_the_text_mode_parse_reads(saved_models, tmp_path, case):
-    # a non-ASCII file takes the full parse; a CR LF ending keeps the block deferred
+    # a non-ASCII file takes the full parse; CR LF, at the end or in the block, keeps it deferred
     path = tmp_path / "m.json"
     path.write_bytes(model_bytes_as(saved_models, case))
     got, want = load_model(path), full_parse(path)

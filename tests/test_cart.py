@@ -400,6 +400,11 @@ def test_paths_partition_leaves():
     assert all(p.leaf_sign == -1 for p in neg)
 
 
+def in_box(box, values) -> bool:
+    """values lie in every (lower, upper] interval of a FeasibleBox."""
+    return bool(np.all(values > box.lower) and np.all(values <= box.upper))
+
+
 def test_path_interior_point_routes_to_its_leaf():
     rng = np.random.default_rng(29)
     for _ in range(10):
@@ -414,7 +419,7 @@ def test_path_interior_point_routes_to_its_leaf():
                 hi = np.where(np.isposinf(box.upper), 100.0, box.upper)
                 mid = (lo + hi) / 2.0
                 assert p.satisfied_by(mid)
-                assert box.contains(mid)
+                assert in_box(box, mid)
                 assert predict_tree(t, mid) == sign
 
 
@@ -425,10 +430,10 @@ def test_path_to_box_half_open_semantics():
     )
     box = path_to_box(p, 1)
     assert box.feasible
-    assert not box.contains(np.array([1.0]))   # lower end open
-    assert box.contains(np.array([4.0]))       # upper end closed
-    assert box.contains(np.array([2.5]))
-    assert not box.contains(np.array([4.1]))
+    assert not in_box(box, np.array([1.0]))   # lower end open
+    assert in_box(box, np.array([4.0]))       # upper end closed
+    assert in_box(box, np.array([2.5]))
+    assert not in_box(box, np.array([4.1]))
 
 
 def test_path_to_box_flags_contradiction():

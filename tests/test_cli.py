@@ -613,6 +613,15 @@ def test_verify_oversized_grid(tmp_path, demo_model_path):
     assert code == 2
 
 
+def test_verify_refuses_an_oversized_resolution_before_building_the_grid(two_feature_model,
+                                                                        capsys):
+    model, data = two_feature_model
+    assert run(["verify", "--model", str(model), "--data", str(data), "--n-instances", "1",
+                "--resolution", "10000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "tweakboost: data error: grid size exceeds the 1000000 point guard\n"
+
+
 def test_verify_leaves_numpy_ma_unimported(two_feature_model):
     # the oracle's lattice finds its distinct thresholds and cells without np.unique
     model, data = two_feature_model

@@ -609,6 +609,13 @@ def test_oracle_grid_guard():
         brute_force_oracle(e, np.array([1.0, 1.0, 1.0]), axes)
 
 
+def test_oracle_grid_refuses_an_oversized_resolution_before_filling():
+    # 10**13 fill values per axis would be 80 TB: the guard fires before any is made
+    e = desk_ensemble([stump(0, 2.5, -1, 1)], [1.0])
+    with pytest.raises(GridGuardError, match="point guard"):
+        oracle_grid(e, np.array([1.0, 1.0]), EpsilonPolicy(), resolution=10**13)
+
+
 def test_oracle_validates_grid_arity():
     e = desk_ensemble([stump(0, 2.5, -1, 1)], [1.0])
     with pytest.raises(ValueError, match="axes"):
