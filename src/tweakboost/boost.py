@@ -4,12 +4,13 @@ Records everything the pruning analysis needs: stage weights alpha_k, staged
 per-tree predictions, and the full post-normalization sample-weight
 trajectory matrix (row 0 is the uniform w_0). That matrix is almost all
 of a model file, so neither direction holds it as one piece of text:
-save_model writes it one row at a time, and load_model reads the file as
-bytes and leaves the matrix undecoded, as offsets into those bytes, until
-something reads it. CR and LF are both JSON whitespace, so that path
-translates no line ends. Any other file, such as one that is not all ASCII
-(save_model escapes every non-ASCII name, so it never writes one), is parsed
-whole from the stdlib's text mode over the bytes read.
+save_model writes every tree and every matrix row on its own, and
+load_model reads the file as bytes and leaves the matrix undecoded, as a
+view of those bytes, until something reads it. CR and LF are both JSON
+whitespace, so that path translates no line ends. Any other file, such as
+one that is not all ASCII (save_model escapes every non-ASCII name, so it
+never writes one), is parsed whole from the stdlib's text mode over the
+bytes read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,22 +58,8 @@ MODEL_VERSION = "tweakboost-model/1"
 # rows * trees per step of ensemble_margins: bounds its (trees, rows) arrays
 _MARGIN_CELLS = 1 << 16
 
-# how save_model writes the start of the trajectory member, and load_model finds it
-_TRAJECTORY_MEMBER = ', "trajectories": '
-
-
-@dataclass(frozen=True)
-class _TrajectoryText:
-    """A model file's trajectory block, still JSON text: data[begin:end] of
-    the ASCII bytes load_model read, held as offsets so that the block is
-    not copied out of the file."""
-
-    data: bytes
-    begin: int
-    end: int
-
-    def decode(self) -> str:
-        return str(memoryview(self.data)[self.begin:self.end], "ascii")
+# the start of the trajectory member as save_model writes it, where load_model finds it
+_TRAJECTORY_MEMBER = b', "trajectories": '
 
 
 @dataclass
@@ -94,7 +82,7 @@ class Ensemble:
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        deferred = isinstance(self.trajectories, _TrajectoryText)
+        deferred = isinstance(self.trajectories, memoryview)
         if deferred:
             self._trajectory_text = vars(self).pop("trajectories")
         else:
@@ -127,9 +115,9 @@ class Ensemble:
         pending = vars(self).get("_trajectory_text")
         if name != "trajectories" or pending is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if isinstance(pending, _TrajectoryText):
+        if isinstance(pending, memoryview):
             # to text, letting go of the file's bytes: the parse's floats are the larger peak
-            pending = self._trajectory_text = pending.decode()
+            pending = self._trajectory_text = str(pending, "ascii")
         try:
             trajectories = np.asarray(json.loads(pending), dtype=np.float64)
             self._check_trajectories(trajectories)
@@ -300,14 +288,17 @@ def weight_trajectory(e: Ensemble, i: int) -> np.ndarray:
 
 def model_to_dict(e: Ensemble) -> dict:
     """Single-document JSON form; key order fixed for byte-stable output."""
-    return _model_doc(e, e.trajectories.tolist())
+    return {key: list(value) if isinstance(value, Iterator) else value
+            for key, value in _model_members(e)}
 
 
-def _model_doc(e: Ensemble, trajectories) -> dict:
-    """model_to_dict(e) with `trajectories` as its trajectory member."""
-    return {
-        "version": MODEL_VERSION,
-        "schema": [
+def _model_members(e: Ensemble) -> list[tuple[str, object]]:
+    """The model document's members in file order. The trees and the
+    trajectory rows are iterators over their JSON elements, so that
+    save_model can write each one on its own."""
+    return [
+        ("version", MODEL_VERSION),
+        ("schema", [
             {
                 "name": f.name,
                 "index": f.index,
@@ -318,17 +309,17 @@ def _model_doc(e: Ensemble, trajectories) -> dict:
                 "stddev": f.stddev,
             }
             for f in e.schema
-        ],
-        "alphas": e.alphas.tolist(),
-        "trees": [tree_to_dict(t) for t in e.trees],
-        "trajectories": trajectories,
-        "staged_errors": e.staged_errors.tolist(),
-        "config": {
+        ]),
+        ("alphas", e.alphas.tolist()),
+        ("trees", map(tree_to_dict, e.trees)),
+        ("trajectories", map(np.ndarray.tolist, e.trajectories)),
+        ("staged_errors", e.staged_errors.tolist()),
+        ("config", {
             "K": e.config.get("K"),
             "max_depth": e.config.get("max_depth"),
             "seed": e.config.get("seed"),
-        },
-    }
+        }),
+    ]
 
 
 def model_from_dict(d: dict) -> Ensemble:
@@ -355,7 +346,7 @@ def model_from_dict(d: dict) -> Ensemble:
         )
         for s in d["schema"]
     ]
-    return Ensemble(  # converts the arrays, but keeps load_model's _TrajectoryText as text
+    return Ensemble(  # converts the arrays, but keeps load_model's trajectory view as text
         trees=[tree_from_dict(t, len(schema)) for t in d["trees"]],
         alphas=d["alphas"],
         trajectories=d["trajectories"],
@@ -367,21 +358,25 @@ def model_from_dict(d: dict) -> Ensemble:
 
 def save_model(e: Ensemble, path: str | os.PathLike) -> None:
     """Atomic write (data.write_text_atomic) of json.dumps(model_to_dict(e)),
-    streamed: the trajectory matrix is never held as one list or string."""
+    streamed: the document, its tree list and its trajectory block are
+    never held as one list or string."""
     write_text_atomic(path, _model_chunks(e))
 
 
 def _model_chunks(e: Ensemble):
-    """json.dumps(model_to_dict(e)) in pieces: the members before the
-    trajectory member, its rows one by one, the members after it. The
-    default separators are ", " and ": ", so the pieces join to those bytes."""
-    doc = _model_doc(e, None)
-    keys = list(doc)
-    cut = keys.index("trajectories")
-    yield json.dumps({key: doc[key] for key in keys[:cut]})[:-1] + _TRAJECTORY_MEMBER + "["
-    for i, row in enumerate(e.trajectories):
-        yield (", " if i else "") + json.dumps(row.tolist())
-    yield "], " + json.dumps({key: doc[key] for key in keys[cut + 1:]})[1:]
+    """json.dumps of the document in pieces: each member's key and value,
+    and an iterator's elements one by one. The default separators are ", "
+    and ": ", so the pieces join to json.dumps(model_to_dict(e))."""
+    for i, (key, value) in enumerate(_model_members(e)):
+        yield ("{" if i == 0 else ", ") + json.dumps(key) + ": "
+        if isinstance(value, Iterator):
+            yield "["
+            for j, item in enumerate(value):
+                yield (", " if j else "") + json.dumps(item)
+            yield "]"
+        else:
+            yield json.dumps(value)
+    yield "}"
 
 
 def load_model(path: str | os.PathLike) -> Ensemble:
@@ -405,11 +400,10 @@ def _split_trajectories(data: bytes) -> dict | None:
     the text before it must parse as an object once '}' closes it, and the
     text after it once '{' opens it. The member then sits at the top level
     between two runs of whole members. Any other layout returns None."""
-    member = _TRAJECTORY_MEMBER.encode()
-    start = data.find(member)
+    start = data.find(_TRAJECTORY_MEMBER)
     if start < 0:
         return None
-    begin = start + len(member)
+    begin = start + len(_TRAJECTORY_MEMBER)
     end = data.find(b'"', begin)
     if end < 0 or data[end - 2:end] != b", " or any(data.find(c, begin, end) >= 0 for c in b"{}:"):
         return None
@@ -423,5 +417,5 @@ def _split_trajectories(data: bytes) -> dict | None:
     if not doc or "trajectories" in doc or "trajectories" in after:
         return None
     doc.update(after)
-    doc["trajectories"] = _TrajectoryText(data, begin, end - 2)
+    doc["trajectories"] = memoryview(data)[begin:end - 2]
     return doc

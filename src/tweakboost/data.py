@@ -51,6 +51,10 @@ class FeatureSchema:
     kind: str = "numeric"
 
     def __post_init__(self):
+        stats = {"min": self.min, "max": self.max, "mean": self.mean, "stddev": self.stddev}
+        for stat, v in stats.items():
+            if not math.isfinite(v):
+                raise DataError(f"feature {self.name!r}: non-finite {stat} {v}")
         if not (self.min <= self.mean <= self.max):
             raise DataError(
                 f"feature {self.name!r}: stats out of order "
@@ -190,7 +194,7 @@ def load_csv(path: str | os.PathLike, label_column: str,
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -222,6 +226,20 @@ def load_csv(path: str | os.PathLike, label_column: str,
     if not rows:
         raise DataError(f"{path}: no data rows")
     return make_dataset(np.array(rows, dtype=np.float64), labels, names)
+
+
+def _csv_records(fh, path: str | os.PathLike):
+    """csv.reader's records from fh. Bytes that are not UTF-8, and a record
+    csv cannot read (such as a field over its size limit), raise DataError
+    naming the file, and for csv's errors the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                        f"{exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def save_csv(ds: Dataset, path: str | os.PathLike, label_column: str = "label") -> None:

@@ -138,7 +138,7 @@ def select_kprime_trajectory(e: Ensemble, i: int, window: int = DEFAULT_WINDOW,
     rel = np.abs(np.diff(w)) / w[:-1]  # rel[k-1] is the change at round k
     k = e.k
     params = {"window": window, "rel_tol": rel_tol, "instance": i, "stabilized": False}
-    for k_prime in range(max(1, window), k + 1):
+    for k_prime in range(window, k + 1):
         if np.all(rel[k_prime - window:k_prime] <= rel_tol):
             params["stabilized"] = True
             return PruneReport(

@@ -29,6 +29,15 @@ def numpy_ma_probe(work: str) -> str:
     return out.splitlines()[-1]
 
 
+# CSV files that cannot be read as text or as CSV, each with its DataError's
+# message after the file's path
+UNREADABLE_CSVS = {
+    "not_utf8": (b"a,label\n\xff,1\n", ": not UTF-8 text (byte 0xff: invalid start byte)"),
+    "oversized_field": (b"a,label\n1,1\n" + b"9" * 200_000 + b",-1\n",
+                        ", line 3: field larger than field limit (131072)"),
+}
+
+
 def stump(feature: int, threshold: float, left_sign: int, right_sign: int) -> Tree:
     return Tree(
         root=Internal(feature, threshold, Leaf(left_sign, 1.0), Leaf(right_sign, 1.0)),

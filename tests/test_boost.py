@@ -293,6 +293,19 @@ def test_model_from_dict_rejects_invalid_models(tiny_ds):
     assert model_from_dict({**d, "staged_errors": [0.0]}).staged_errors[0] == 0.0  # a perfect round
 
 
+@pytest.mark.parametrize("stat,value", [("stddev", float("nan")), ("stddev", float("inf")),
+                                        ("min", float("-inf")), ("max", float("inf")),
+                                        ("mean", float("nan"))])
+def test_load_model_rejects_a_non_finite_schema_stat(tmp_path, tiny_ds, stat, value):
+    path = tmp_path / "m.json"
+    save_model(train_adaboost(tiny_ds, K=2, max_depth=1), path)
+    doc = json.loads(path.read_text())
+    doc["schema"][1][stat] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"feature 'f1': non-finite {stat} {value}"):
+        load_model(path)
+
+
 def test_flat_form_is_compiled_on_first_use_only(tmp_path, tiny_ds):
     path = tmp_path / "m.json"
     save_model(train_adaboost(tiny_ds, K=3, max_depth=2), path)
@@ -447,9 +460,23 @@ def test_save_and_load_hold_less_than_a_copy_of_the_file(tmp_path, rows3000_mode
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 5_000_000
-    assert save_peak < 0.5 * size
+    assert save_peak < 0.25 * size
     assert load_peak < 1.25 * size
     assert read_peak < 2.0 * size  # the bytes go before the parse builds its floats
+
+
+def test_save_holds_no_tree_list_or_whole_member(tmp_path, deep_demo_model):
+    # at depth 6 the trees are a quarter of the file, and save writes them one by one
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        save_model(deep_demo_model, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trees = len(json.dumps(model_to_dict(deep_demo_model)["trees"]))
+    assert trees > 0.2 * path.stat().st_size
+    assert save_peak < 0.25 * path.stat().st_size
 
 
 def model_bytes_as(saved_models, case: str) -> bytes:

@@ -6,7 +6,14 @@ import pytest
 from tweakboost import DataError, load_model, make_dataset, make_demo_dataset, save_csv, save_model
 from tweakboost.cli import main, parse_prune_spec
 
-from conftest import desk_ensemble, leaf_tree, numpy_ma_probe, random_learnable_dataset, stump
+from conftest import (
+    UNREADABLE_CSVS,
+    desk_ensemble,
+    leaf_tree,
+    numpy_ma_probe,
+    random_learnable_dataset,
+    stump,
+)
 
 
 def run(argv):
@@ -67,6 +74,19 @@ def test_train_bad_labels_is_data_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,label\n1.0,spam\n2.0,ham\n")
     assert run(["train", "--data", str(path), "--out", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CSVS))
+def test_unreadable_data_file_is_data_error(tmp_path, demo_model_path, capsys, case):
+    data, message = UNREADABLE_CSVS[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    for argv in (["train", "--out", str(tmp_path / "m.json")],
+                 ["explain", "--model", str(demo_model_path), "--row", "0"],
+                 ["verify", "--model", str(demo_model_path)]):
+        assert run([*argv, "--data", str(path)]) == 2, argv
+        assert capsys.readouterr().err == f"tweakboost: data error: {path}{message}\n", argv
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_label_map_flag(tmp_path):
@@ -325,6 +345,19 @@ def test_model_with_invalid_staged_errors_is_data_error(tmp_path, demo_model_pat
                 "--prune", "trajectory"]) == 2
     err = capsys.readouterr().err
     assert "staged errors" in err and "trajectory" not in err
+
+
+def test_model_with_non_finite_schema_stat_is_data_error(tmp_path, demo_model_path, capsys):
+    # a NaN stddev used to load and give "distance": NaN, which is not JSON
+    doc = json.loads(demo_model_path.read_text())
+    doc["schema"][2]["stddev"] = float("nan")
+    bad = tmp_path / "bad_schema.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(bad), "--demo", "--row", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"tweakboost: data error: cannot read model {bad}: "
+                            "feature 'f2': non-finite stddev nan\n")
+    assert captured.out == ""
 
 
 # -------------------------------------------------- a corrupt trajectory block

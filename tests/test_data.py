@@ -12,7 +12,7 @@ from tweakboost import (
 )
 from tweakboost.data import write_text_atomic
 
-from conftest import numpy_ma_probe
+from conftest import UNREADABLE_CSVS, numpy_ma_probe
 
 
 def test_schema_population_stats():
@@ -136,6 +136,26 @@ def test_load_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataError, match="header row required"):
         load_csv(path, "label")
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CSVS))
+def test_load_csv_unreadable_file_is_data_error(tmp_path, case):
+    data, message = UNREADABLE_CSVS[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as exc:
+        load_csv(path, "label")
+    assert str(exc.value) == f"{path}{message}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_schema_stats_must_be_finite():
+    # the variance of these finite values overflows
+    with pytest.raises(DataError, match="feature 'a': non-finite stddev inf"):
+        compute_schema(np.array([[1e300], [-1e300]]), ["a"])
+    with pytest.raises(DataError, match="non-finite min -inf"):
+        make_dataset([[-np.inf], [1.0]], [1, -1], ["a"])
 
 
 def test_parse_label_map_rejects_garbage():
