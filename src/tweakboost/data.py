@@ -189,11 +189,13 @@ def load_csv(path: str | os.PathLike, label_column: str,
     stats are computed over all loaded rows.
 
     Without a label_map the label cells must literally be -1, 1 or +1.
-    Errors carry 1-based data-row numbers (the header is row 0).
+    Errors carry 1-based data-row numbers (the header is row 0). The file is
+    read as UTF-8 with an optional byte-order mark, which is not part of the
+    first header cell.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _csv_records(fh, path)
         try:
             header = next(reader)

@@ -320,67 +320,81 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     differs from x and return the flipping point of minimum distance.
     Used only by tests and the verify command.
 
-    A feature's split thresholds cut its axis into cells whose values take
-    the same branch at every node (a value equal to a threshold goes left),
-    so one representative per cell of the threshold lattice is routed and
-    every grid point gets its cell's margin, bit for bit. Raises ValueError
-    on a non-finite instance."""
+    No grid point is routed through the trees: every point gets its margin
+    from the leaf boxes painted onto the threshold lattice
+    (_lattice_margins), and only the flipping points are built, in C order
+    (the last axis varies fastest), so of equally distant flips the first
+    in that order wins. Raises ValueError on a non-finite instance or a NaN
+    grid value; an infinite grid value is a point like any other."""
     values = _finite_instance(e, x)
     if len(grid) != e.n_features:
         raise ValueError(f"grid has {len(grid)} axes, model expects {e.n_features}")
     if math.prod(len(axis) for axis in grid) > GRID_GUARD:
         raise GridGuardError(f"grid size exceeds the {GRID_GUARD} point guard")
-    pred, _ = predict_ensemble(e, values)
     axes = [np.asarray(a, dtype=np.float64) for a in grid]
-    pts = _product(axes)  # C order: the last axis varies fastest
-    differs = np.any(pts != values, axis=1)
-    pts = pts[differs]
-    if pts.shape[0] == 0:
+    bad = [f for f, axis in enumerate(axes) if np.isnan(axis).any()]
+    if bad:
+        raise ValueError(f"grid values must not be NaN; axes {bad} hold NaN")
+    pred, _ = predict_ensemble(e, values)
+    same = np.zeros([len(axis) for axis in axes], dtype=bool)  # the points equal to x
+    same[np.ix_(*[np.flatnonzero(axis == v) for axis, v in zip(axes, values)])] = True
+    n_eval = same.size - int(np.count_nonzero(same))
+    if n_eval == 0:
         return NotFound(n_candidates_evaluated=0)
-    margins = _lattice_margins(e, axes)[differs]
-    verdicts = np.where(margins > 0, 1, -1)
-    flip = verdicts != pred
-    n_eval = int(pts.shape[0])
-    if not np.any(flip):
+    flip = (np.where(_lattice_margins(e, axes) > 0, 1, -1) != pred) & ~same
+    if not flip.any():
         return NotFound(n_candidates_evaluated=n_eval)
-    flipping = pts[flip]
+    flipping = np.stack([axis[i] for axis, i in zip(axes, np.nonzero(flip))], axis=1)
     dists = distance(values, flipping, e.schema, norm)
     i = int(np.argmin(dists))  # first minimum: deterministic in product order
     return _counterfactual(values, flipping[i], float(dists[i]), n_eval)
 
 
-def _product(axes: list[np.ndarray]) -> np.ndarray:
-    """Every point of the product grid of axes, one per row, in C order."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
 def _lattice_margins(e: Ensemble, axes: list[np.ndarray]) -> np.ndarray:
-    """Margins of every point of the product grid of axes, in C order, from
-    one routed representative per threshold-lattice cell: the first axis
-    value in the cell."""
+    """Margins of every point of the product grid of axes, in the grid's
+    shape, painted from the leaf-box table instead of routed.
+
+    A feature's sorted distinct thresholds cut its axis into cells
+    (cut[c-1], cut[c]] whose values take the same branch at every node; a
+    value equal to a threshold goes left, and NaN lands in the last cell,
+    which routing also sends right. A leaf box (lower, upper] covers the
+    cells searchsorted(cut, lower, "right") to searchsorted(cut, upper,
+    "left"), so on the lattice of the cells the grid holds it is a block.
+    Each tree's leaves partition that lattice, so adding alphas[tree] *
+    leaf_sign over every leaf's block, leaves in tree order, gives each cell
+    one addition per tree in tree order: vote_sum's margins, bit for bit."""
     flat = e.flat
-    reps, cells = [], []
+    starts, stops, cells, shape = [], [], [], []
     for f, axis in enumerate(axes):
-        cut, _, _ = _unique(flat.threshold[flat.feature == f])
-        _, first, cell = _unique(np.searchsorted(cut, axis, side="left"))
-        reps.append(axis[first])
+        cut, _ = _unique(flat.threshold[flat.feature == f])
+        present, cell = _unique(np.searchsorted(cut, axis, side="left"))
         cells.append(cell)
-    margins = ensemble_margins(e, _product(reps)).reshape([len(r) for r in reps])
-    return margins[np.ix_(*cells)].ravel()
+        shape.append(len(present))
+        # each leaf's first and last cell, then its run among the cells present
+        first = np.searchsorted(cut, flat.lower[:, f], side="right")
+        last = np.searchsorted(cut, flat.upper[:, f], side="left")
+        starts.append(np.searchsorted(present, first, side="left"))
+        stops.append(np.searchsorted(present, last, side="right"))
+    starts, stops = np.stack(starts, axis=1), np.stack(stops, axis=1)
+    painted = np.flatnonzero(np.all(starts < stops, axis=1))  # in tree order
+    votes = e.alphas[flat.tree[painted]] * flat.leaf_sign[painted]
+    margins = np.zeros(shape)
+    for vote, start, stop in zip(votes.tolist(), starts[painted].tolist(), stops[painted].tolist()):
+        margins[tuple(map(slice, start, stop))] += vote
+    return margins[np.ix_(*cells)]
 
 
-def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(a, return_index=True, return_inverse=True) of a 1-D array
-    without NaNs, from one stable sort: the sorted distinct values, the
-    index of each one's first occurrence, and each element's place among
+def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, return_inverse=True) of a 1-D array without NaNs, from
+    one sort: the sorted distinct values and each element's place among
     them. np.unique itself would import numpy.ma on its first call."""
-    order = np.argsort(a, kind="stable")
+    order = np.argsort(a)
     ordered = a[order]
     starts = np.ones(len(a), dtype=bool)
     starts[1:] = ordered[1:] != ordered[:-1]
     inverse = np.empty(len(a), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], order[starts], inverse
+    return ordered[starts], inverse
 
 
 def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> list[np.ndarray]:

@@ -89,6 +89,22 @@ def test_unreadable_data_file_is_data_error(tmp_path, demo_model_path, capsys, c
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("first", ["a", "label"])
+def test_train_reads_a_csv_with_a_byte_order_mark(tmp_path, small_csv, first):
+    # the mark is not part of the first header cell, whichever column that is
+    order = [2, 0, 1] if first == "label" else [0, 1, 2]  # small_csv's columns: a, b, label
+    text = "".join(",".join(line.split(",")[i] for i in order) + "\n"
+                   for line in small_csv.read_text().splitlines())
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    models = [tmp_path / "plain.json", tmp_path / "bom.json"]
+    for data, model in zip((plain, bom), models):
+        assert run(["train", "--data", str(data), "--k", "3", "--out", str(model)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+    assert [s.name for s in load_model(models[1]).schema] == ["a", "b"]
+
+
 def test_train_label_map_flag(tmp_path):
     path = tmp_path / "mapped.csv"
     rows = "\n".join(f"{i}.0,{7 - i}.0,{'yes' if i > 4 else 'no'}" for i in range(10))

@@ -138,6 +138,17 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(path, "label")
 
 
+@pytest.mark.parametrize("text", ["a,label\n1.0,1\n2.0,-1\n", "label,a\n1,1.0\n-1,2.0\n"])
+def test_load_csv_reads_past_a_utf8_byte_order_mark(tmp_path, text):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want, got = load_csv(plain, "label"), load_csv(bom, "label")
+    assert got.feature_names == want.feature_names == ["a"]
+    assert got.labels.tolist() == want.labels.tolist() == [1, -1]
+    np.testing.assert_array_equal(got.rows, want.rows)
+
+
 @pytest.mark.parametrize("case", sorted(UNREADABLE_CSVS))
 def test_load_csv_unreadable_file_is_data_error(tmp_path, case):
     data, message = UNREADABLE_CSVS[case]

@@ -19,12 +19,14 @@ from tweakboost import (
     make_demo_dataset,
     oracle_grid,
     predict_ensemble,
+    save_csv,
+    save_model,
     select_kprime_alpha_mass,
     train_adaboost,
 )
 from tweakboost.cart import (Internal, Leaf, Path, PathCondition, Tree, enumerate_paths,
                              path_to_box, predict_tree)
-from tweakboost import tweak
+from tweakboost import cart, cli, tweak
 from tweakboost.tweak import _FIRST_CHUNK, NORMS, epsilon_transform
 
 from conftest import desk_ensemble, leaf_tree, make_schema, random_learnable_dataset, stump
@@ -656,16 +658,29 @@ def assert_oracle_matches_reference(e, x, grid):
             assert got.distance == want.distance
 
 
-@pytest.fixture(scope="module")
-def two_feature_model():
+def two_feature_data():
     """Columns f0 and f3 of the demo generator under a smooth rule with 10%
-    label noise, boosted to K=50 at depth 3."""
+    label noise."""
     demo = make_demo_dataset(n_rows=400, n_features=5, seed=7)
     X = demo.rows[:, [0, 3]]
     rule = np.tanh((X[:, 0] - 50.0) / 10.0) + 0.8 * np.sin(X[:, 1]) - 0.1 > 0
     flip = np.random.default_rng(7).random(400) < 0.1
-    ds = make_dataset(X, np.where(rule != flip, 1, -1), ["f0", "f3"])
+    return make_dataset(X, np.where(rule != flip, 1, -1), ["f0", "f3"])
+
+
+@pytest.fixture(scope="module")
+def two_feature_model():
+    """two_feature_data boosted to K=50 at depth 3."""
+    ds = two_feature_data()
     return train_adaboost(ds, K=50, max_depth=3), ds
+
+
+@pytest.fixture(scope="module")
+def deep_two_feature_model():
+    """two_feature_data boosted to K=100 at depth 6: thousands of leaf boxes
+    over a few hundred thresholds per feature."""
+    ds = two_feature_data()
+    return train_adaboost(ds, K=100, max_depth=6), ds
 
 
 def test_oracle_matches_pointwise_reference_on_two_feature_model(two_feature_model):
@@ -723,6 +738,97 @@ def test_oracle_rejects_a_non_finite_instance(two_feature_model, bad):
         oracle_grid(e, x, EpsilonPolicy(), resolution=20)
     with pytest.raises(ValueError, match=message):
         generate_candidates(e, x, EpsilonPolicy())
+
+
+def test_oracle_rejects_a_nan_grid_value(two_feature_model):
+    e, ds = two_feature_model
+    x = ds.rows[3]
+    grid = oracle_grid(e, x, EpsilonPolicy(), resolution=20)
+    grid[0] = np.append(grid[0], np.nan)
+    with pytest.raises(ValueError, match=r"grid values must not be NaN; axes \[0\] hold NaN"):
+        brute_force_oracle(e, x, grid)
+    grid[0] = np.append(grid[0][:-1], [np.inf, -np.inf])  # infinite points are fine
+    assert_oracle_matches_reference(e, x, grid)
+
+
+def threshold_axis(e, f, rng, n_thresholds=None):
+    """A shuffled test axis for feature f: n_thresholds of its distinct
+    thresholds (all by default), every third of them twice, each one's
+    float neighbours, +-inf, 0.0, -0.0 and NaN."""
+    thr = np.unique(e.flat.threshold[e.flat.feature == f])
+    if n_thresholds is not None:
+        thr = np.sort(rng.choice(thr, size=min(n_thresholds, thr.size), replace=False))
+    return rng.permutation(np.concatenate([
+        thr, thr[::3], np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf),
+        [np.inf, -np.inf, 0.0, -0.0, np.nan]]))
+
+
+def assert_painted_margins_are_routed_margins(e, axes):
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    painted = tweak._lattice_margins(e, axes)
+    assert painted.shape == tuple(len(axis) for axis in axes)
+    np.testing.assert_array_equal(painted.ravel(), ensemble_margins(e, pts))
+
+
+def test_painted_lattice_margins_equal_routed_margins_on_a_deep_model(deep_two_feature_model):
+    e, _ = deep_two_feature_model
+    assert e.k == 100 and e.flat.depth == 6
+    rng = np.random.default_rng(17)
+    # every threshold of one feature against a sample of the other's, both ways round
+    for full in range(2):
+        axes = [threshold_axis(e, f, rng, None if f == full else 25) for f in range(2)]
+        assert_painted_margins_are_routed_margins(e, axes)
+
+
+def test_painted_lattice_margins_equal_routed_margins_on_small_models():
+    rng = np.random.default_rng(23)
+    for seed, (n_features, depth) in enumerate([(1, 1), (2, 3), (3, 3), (1, 8)]):
+        ds = random_learnable_dataset(np.random.default_rng(seed), 80, n_features)
+        e = train_adaboost(ds, K=20, max_depth=depth)
+        axes = [threshold_axis(e, f, rng, 12) for f in range(n_features)]
+        assert_painted_margins_are_routed_margins(e, axes)
+    # a grid that misses every cell some leaves cover, and an empty axis
+    e = three_stump_ensemble()
+    assert_painted_margins_are_routed_margins(e, [np.array([3.0, 1.0]), np.array([5.0])])
+    assert tweak._lattice_margins(e, [np.array([]), np.array([0.5, 3.0])]).shape == (0, 2)
+
+
+def test_oracle_routes_only_the_instance(deep_two_feature_model, tmp_path, monkeypatch):
+    """Every routing goes through FlatTrees.signs; the oracle routes the
+    instance for its verdict and no grid point, on its own and in verify,
+    where explain's scored rows are routed outside the oracle."""
+    e, ds = deep_two_feature_model
+    routed, inside = [], [False]
+    signs = cart.FlatTrees.signs
+
+    def counting_signs(self, X, upto=None):
+        routed.append((inside[0], X.shape[0]))
+        return signs(self, X, upto)
+
+    def oracle(*args, **kwargs):
+        inside[0] = True
+        try:
+            return brute_force_oracle(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cart.FlatTrees, "signs", counting_signs)
+    for i in (0, 5, 9):
+        x = ds.rows[i]
+        grid = oracle_grid(e, x, EpsilonPolicy(), resolution=50)
+        routed.clear()
+        assert isinstance(brute_force_oracle(e, x, grid), Counterfactual)
+        assert routed == [(False, 1)]
+
+    model, csv = tmp_path / "model.json", tmp_path / "data.csv"
+    save_model(e, model)
+    save_csv(ds, csv)
+    monkeypatch.setattr(cli, "brute_force_oracle", oracle)
+    routed.clear()
+    assert cli.main(["verify", "--model", str(model), "--data", str(csv),
+                     "--n-instances", "3"]) == 0
+    assert [n for within, n in routed if within] == [1, 1, 1]
+    assert sum(n for within, n in routed if not within) > 3  # explain's rows
 
 
 def test_oracle_empty_axis_grid_is_not_found():
