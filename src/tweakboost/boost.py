@@ -146,11 +146,22 @@ class Ensemble:
     def n_train(self) -> int:
         return self.trajectories.shape[1]
 
-    def check_arity(self, values: np.ndarray) -> None:
+    def instance(self, x) -> np.ndarray:
+        """x as a float vector; DataError unless it has the model's arity."""
+        values = np.asarray(x, dtype=np.float64)
         if values.shape != (self.n_features,):
-            raise ValueError(
-                f"instance has shape {values.shape}, model expects ({self.n_features},)"
-            )
+            raise DataError(f"instance has shape {values.shape}, model expects "
+                            f"{self.n_features} features")
+        return values
+
+    def prefix(self, k: int | None) -> int:
+        """The number of leading trees a vote truncated to k reads: all K
+        when k is None. ValueError unless 1 <= k <= K."""
+        if k is None:
+            return self.k
+        if not 1 <= k <= self.k:
+            raise ValueError(f"k_prime must be in [1, {self.k}], got {k}")
+        return k
 
 
 def alpha(err_k: float, n_classes: int = 2) -> float:
@@ -235,25 +246,26 @@ def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0) -> Ensemb
 def predict_ensemble(e: Ensemble, x, upto: int | None = None) -> tuple[int, float]:
     """Weighted-vote prediction and its margin sum(alpha_k * h_k(x)).
 
-    A zero margin resolves to -1 (documented tie rule, mirroring the leaf
-    rule). upto restricts the vote to the first `upto` trees.
+    The verdict follows verdicts' tie rule. upto restricts the vote to the
+    first `upto` trees.
     """
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
-    if upto is None:
-        upto = e.k
-    elif not 1 <= upto <= e.k:
-        raise ValueError(f"upto must be in [1, {e.k}], got {upto}")
-    m = ensemble_margins(e, values[None, :], upto)[0]
-    return (1 if m > 0 else -1), m
+    m = ensemble_margins(e, e.instance(x)[None, :], upto)[0]
+    return int(verdicts(m)), m
+
+
+def verdicts(margins) -> np.ndarray:
+    """The ensemble's verdicts of margins: +1 where a margin is positive,
+    -1 elsewhere, so a zero margin resolves to -1 (the tie rule, mirroring
+    the leaf rule)."""
+    return np.where(margins > 0, 1, -1)
 
 
 def ensemble_margins(e: Ensemble, X: np.ndarray, upto: int | None = None) -> np.ndarray:
     """Vectorized margins for a matrix of instances, summed in tree order
-    from 0.0, over row blocks so that memory stays flat in the row count."""
+    from 0.0, over row blocks so that memory stays flat in the row count.
+    upto restricts the vote to the first `upto` trees (Ensemble.prefix)."""
     X = np.asarray(X, dtype=np.float64)
-    if upto is None:
-        upto = e.k
+    upto = e.prefix(upto)
     m = np.zeros(X.shape[0])
     step = max(1, _MARGIN_CELLS // max(upto, 1))
     for start in range(0, X.shape[0], step):
@@ -272,9 +284,7 @@ def vote_sum(alphas: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def staged_predictions(e: Ensemble, x) -> np.ndarray:
     """Per-tree prediction h_k(x) for every round, length K."""
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
-    return e.flat.signs(values[None, :])[:, 0]
+    return e.flat.signs(e.instance(x)[None, :])[:, 0]
 
 
 def weight_trajectory(e: Ensemble, i: int) -> np.ndarray:

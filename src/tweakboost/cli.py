@@ -32,6 +32,7 @@ from .boost import (
     predict_ensemble,
     save_model,
     train_adaboost,
+    verdicts,
 )
 from .data import (
     DataError,
@@ -74,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
+
+
+def _usage_checked(fn, *args):
+    """fn(*args), with a ValueError it raises reported as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _load_model_or_die(path: str) -> Ensemble:
@@ -123,9 +132,7 @@ def cmd_train(args) -> int:
     if e.k == 0:
         raise TrainError("no usable round: the first weak learner was no better than chance")
     save_model(e, args.out)
-    margins = ensemble_margins(e, ds.rows)
-    preds = np.where(margins > 0, 1, -1)
-    acc = float((preds == ds.labels).mean())
+    acc = float((verdicts(ensemble_margins(e, ds.rows)) == ds.labels).mean())
     a = np.asarray(e.alphas)
     print(f"trained {e.k}/{args.k} rounds (depth {args.depth}, seed {args.seed}) "
           f"on {ds.n_rows} rows")
@@ -138,58 +145,39 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- explain
 
 
-def _resolve_instance(args, e: Ensemble) -> tuple[np.ndarray, int | None, int | None]:
+def _resolve_instance(args) -> tuple[np.ndarray, int | None, int | None]:
     """Returns (values, training_row_or_None, label_or_None). Inline
     instances have no training row, so trajectory-based pruning cannot
-    apply to them."""
+    apply to them. The library checks the values against the model."""
     if args.instance is not None:
         try:
             values = np.array([float(v) for v in args.instance.split(",")],
                               dtype=np.float64)
         except ValueError:
             raise DataError(f"cannot parse --instance {args.instance!r}")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"non-finite value in --instance {args.instance!r}")
-        if values.shape[0] != e.n_features:
-            raise DataError(
-                f"--instance has {values.shape[0]} values, model expects {e.n_features}"
-            )
         return values, None, None
     if args.data is None and not args.demo:
         raise UsageError("--row requires --data or --demo")
     ds = _load_dataset(args)
     if not 0 <= args.row < ds.n_rows:
         raise DataError(f"--row {args.row} out of range [0, {ds.n_rows - 1}]")
-    if ds.n_features != e.n_features:
-        raise DataError(
-            f"dataset has {ds.n_features} features, model expects {e.n_features}"
-        )
     return ds.rows[args.row].copy(), args.row, int(ds.labels[args.row])
 
 
-def _epsilon_policy(args) -> EpsilonPolicy:
-    try:
-        return EpsilonPolicy(mode=args.epsilon_mode, value=args.epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def cmd_explain(args) -> int:
-    eps = _epsilon_policy(args)
-    try:
-        strategy, params = parse_prune_spec(args.prune)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    eps = _usage_checked(EpsilonPolicy, args.epsilon_mode, args.epsilon)
+    strategy, params = _usage_checked(parse_prune_spec, args.prune)
 
     e = _load_model_or_die(args.model)
-    values, row, label = _resolve_instance(args, e)
+    _usage_checked(eps.per_feature, e.schema)
+    values, row, label = _resolve_instance(args)
     k_prime, notes = select_kprime(e, strategy, params, row, values, label)
-    pred, _ = predict_ensemble(e, values)
     try:
         result = explain(e, values, eps, norm=args.norm, k_prime=k_prime,
                          target=args.target, label=args.label)
     except ValueError as exc:
         raise DataError(str(exc))
+    pred, _ = predict_ensemble(e, values)
 
     config = {
         "command": "explain",
@@ -278,7 +266,7 @@ def cmd_report_trajectories(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    eps = _epsilon_policy(args)
+    eps = _usage_checked(EpsilonPolicy, args.epsilon_mode, args.epsilon)
     if args.n_instances < 1:
         raise UsageError(f"--n-instances must be >= 1, got {args.n_instances}")
     if args.resolution < 1:
@@ -286,11 +274,8 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.slack) and args.slack >= 0):
         raise UsageError(f"--slack must be finite and >= 0, got {args.slack}")
     e = _load_model_or_die(args.model)
+    _usage_checked(eps.per_feature, e.schema)
     ds = _load_dataset(args)
-    if ds.n_features != e.n_features:
-        raise DataError(
-            f"dataset has {ds.n_features} features, model expects {e.n_features}"
-        )
     n = min(args.n_instances, ds.n_rows)
     slack = args.slack
 

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# the share of make_demo_dataset's labels flipped at random
+_DEMO_NOISE = 0.12
+
+
 class DataError(ValueError):
     """Contract violation in input data (bad cell, bad label, bad model file)."""
 
@@ -129,14 +133,16 @@ def compute_schema(rows: np.ndarray, names: list[str]) -> list[FeatureSchema]:
     out = []
     for j, name in enumerate(names):
         col = rows[:, j]
+        with np.errstate(over="ignore", invalid="ignore"):  # FeatureSchema refuses a non-finite stat
+            mean, stddev = float(col.mean()), float(col.std())  # ddof=0: population
         out.append(
             FeatureSchema(
                 name=name,
                 index=j,
                 min=float(col.min()),
                 max=float(col.max()),
-                mean=float(col.mean()),
-                stddev=float(col.std()),  # ddof=0: population
+                mean=mean,
+                stddev=stddev,
             )
         )
     return out
@@ -273,15 +279,15 @@ def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:
         raise
 
 
-def make_demo_dataset(n_rows: int = 600, n_features: int = 8, seed: int = 7,
-                      noise: float = 0.12) -> Dataset:
+def make_demo_dataset(n_rows: int = 600, n_features: int = 8, seed: int = 7) -> Dataset:
     """Bundled synthetic binary-classification data so every command runs
     without external files.
 
     Mixed feature scales, a nonlinear decision rule over the first five
-    features, three nuisance features, and label-noise flips. The noise keeps
-    boosting busy for 100+ rounds: early rounds find strong splits (large
-    stage weights), later rounds grind against the noise floor (small ones).
+    features, three nuisance features, and label-noise flips on a share
+    _DEMO_NOISE of the rows. The noise keeps boosting busy for 100+ rounds:
+    early rounds find strong splits (large stage weights), later rounds
+    grind against the noise floor (small ones).
     """
     if n_features < 5:
         raise DataError("demo dataset needs at least 5 features")
@@ -304,7 +310,7 @@ def make_demo_dataset(n_rows: int = 600, n_features: int = 8, seed: int = 7,
         - 0.55
     )
     y = np.where(score > 0, 1, -1)
-    flip = rng.random(n_rows) < noise
+    flip = rng.random(n_rows) < _DEMO_NOISE
     y = np.where(flip, -y, y)
     # guard: both classes must be present at any parameterization
     if not (np.any(y == 1) and np.any(y == -1)):

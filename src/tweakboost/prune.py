@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import Ensemble, ensemble_margins, staged_predictions, weight_trajectory
+from .boost import Ensemble, ensemble_margins, staged_predictions, verdicts, weight_trajectory
 from .data import DataError, Dataset
 
 __all__ = [
@@ -217,25 +217,15 @@ def select_kprime(e: Ensemble, strategy: str, params: dict, row: int | None, x,
 def agreement_rate(e: Ensemble, k_prime: int, ds: Dataset) -> float:
     """Fraction of dataset instances whose truncated-vote prediction matches
     the full-ensemble prediction."""
-    if not 1 <= k_prime <= e.k:
-        raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
-    full = ensemble_margins(e, ds.rows)
     part = ensemble_margins(e, ds.rows, upto=k_prime)
-    pred_full = np.where(full > 0, 1, -1)
-    pred_part = np.where(part > 0, 1, -1)
-    return float(np.mean(pred_full == pred_part))
+    return float(np.mean(verdicts(ensemble_margins(e, ds.rows)) == verdicts(part)))
 
 
 def margin_certificate(e: Ensemble, x, k_prime: int) -> bool:
     """True when the truncated margin provably cannot be overturned by the
     remaining trees: |margin at K'| > sum of trailing stage weights. When it
     fires, truncated and full predictions agree, unconditionally."""
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
-    if not 1 <= k_prime <= e.k:
-        raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
-    tail = float(e.alphas[k_prime:].sum())
-    m = float(ensemble_margins(e, values[None, :], upto=k_prime)[0])
-    return abs(m) > tail
+    m = float(ensemble_margins(e, e.instance(x)[None, :], upto=k_prime)[0])
+    return abs(m) > float(e.alphas[k_prime:].sum())

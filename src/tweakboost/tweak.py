@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import Ensemble, ensemble_margins, predict_ensemble, vote_sum
+from .boost import Ensemble, ensemble_margins, predict_ensemble, verdicts, vote_sum
 from .cart import FeasibleBox, Path, path_to_box
 from .data import DataError, FeatureSchema
 
@@ -61,7 +61,8 @@ class EpsilonPolicy:
 
     range_scaled: per-feature eps = value * (max - min) from the training
     schema (constant features fall back to the raw value). absolute: the
-    same eps for every feature.
+    same eps for every feature. per_feature raises ValueError where value *
+    (max - min) overflows, since no finite point lies eps inside there.
     """
 
     mode: str = "range_scaled"
@@ -77,6 +78,10 @@ class EpsilonPolicy:
         if self.mode == "absolute":
             return np.full(len(schema), self.value)
         eps = np.array([self.value * (f.max - f.min) for f in schema])
+        bad = np.flatnonzero(np.isinf(eps)).tolist()
+        if bad:
+            raise ValueError(f"epsilon {self.value} times the feature range is not finite "
+                             f"on features {bad}")
         eps[eps == 0.0] = self.value
         return eps
 
@@ -112,7 +117,7 @@ class Candidates:
 
     @functools.cached_property
     def ensemble_verdict(self) -> np.ndarray:
-        return _verdicts(self.ensemble, self.values)
+        return verdicts(ensemble_margins(self.ensemble, self.values))
 
     def __len__(self) -> int:
         return self.tree_index.shape[0]
@@ -161,7 +166,8 @@ def distance(x, x_cand, schema: list[FeatureSchema], norm: str = "L2_std"):
     for a matrix of candidates (one per row), the vector of their distances.
 
     L2_std: sqrt(sum ((dx/sigma)^2)); L1_std: sum |dx|/sigma; L0: count of
-    changed features. Constant features are excluded throughout.
+    changed features. Constant features are excluded throughout. A distance
+    too large for a float is inf, without a numpy warning.
     """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
@@ -169,13 +175,14 @@ def distance(x, x_cand, schema: list[FeatureSchema], norm: str = "L2_std"):
     b = np.asarray(x_cand, dtype=np.float64)
     included = np.array([not f.constant for f in schema])
     sigma = np.array([f.stddev for f in schema])[included]
-    # C order, so that each row sums exactly as a lone 1-D vector would
-    d = np.ascontiguousarray(np.atleast_2d(b - a)[:, included])
-    if norm == "L0":
-        out = np.count_nonzero(d, axis=1).astype(np.float64)
-    else:
-        z = d / sigma
-        out = np.abs(z).sum(axis=1) if norm == "L1_std" else np.sqrt((z**2).sum(axis=1))
+    with np.errstate(over="ignore"):
+        # C order, so that each row sums exactly as a lone 1-D vector would
+        d = np.ascontiguousarray(np.atleast_2d(b - a)[:, included])
+        if norm == "L0":
+            out = np.count_nonzero(d, axis=1).astype(np.float64)
+        else:
+            z = d / sigma
+            out = np.abs(z).sum(axis=1) if norm == "L1_std" else np.sqrt((z**2).sum(axis=1))
     return float(out[0]) if b.ndim == 1 else out
 
 
@@ -218,13 +225,13 @@ def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray):
 
 
 def _finite_instance(e: Ensemble, x) -> np.ndarray:
-    """x as a float vector of the model's arity. Raises ValueError on a NaN
-    or infinite value, which has no finite distance to move by."""
-    values = np.asarray(x, dtype=np.float64)
-    e.check_arity(values)
-    if not np.all(np.isfinite(values)):
-        bad = np.flatnonzero(~np.isfinite(values)).tolist()
-        raise ValueError(f"instance values must be finite; features {bad} are not")
+    """e.instance(x), refused with DataError where a value is NaN or
+    infinite: such a value has no finite distance to move by."""
+    values = e.instance(x)
+    bad = np.flatnonzero(~np.isfinite(values)).tolist()
+    if bad:
+        raise DataError(f"instance values must be finite; features {bad} are not "
+                        f"(non-finite {values[bad].tolist()})")
     return values
 
 
@@ -234,30 +241,26 @@ def generate_candidates(e: Ensemble, x, eps: EpsilonPolicy,
     that currently agree with the ensemble verdict, restricted to the first
     k_prime trees when given, with their distances. Every candidate's
     verdict comes from the FULL ensemble, computed when first read.
-    Deterministic ascending (tree, path) order. Raises ValueError on a NaN
-    or infinite instance value, which has no finite distance to move by.
+    Deterministic ascending (tree, path) order. A candidate whose distance
+    is not finite is dropped. Raises DataError on a NaN or infinite
+    instance value, which has no finite distance to move by.
     """
     values = _finite_instance(e, x)
-    if k_prime is not None and not 1 <= k_prime <= e.k:
-        raise ValueError(f"k_prime must be in [1, {e.k}], got {k_prime}")
-    limit = e.k if k_prime is None else k_prime
+    limit = e.prefix(k_prime)
     flat = e.flat
     votes = flat.signs(values[None, :])[:, 0]  # one routing gives the verdict and the agreeing trees
-    s = 1 if vote_sum(e.alphas, votes[:, None])[0] > 0 else -1
+    s = int(verdicts(vote_sum(e.alphas, votes[:, None]))[0])
     agrees = votes == s
     agrees[limit:] = False
     boxes = np.flatnonzero(agrees[flat.tree] & (flat.leaf_sign == -s) & flat.feasible)
     moved, tweaked, ok = _epsilon_step(values, flat.lower[boxes], flat.upper[boxes],
                                        eps.per_feature(e.schema))
-    boxes, moved, tweaked = boxes[ok], moved[ok], tweaked[ok]
-    return Candidates(values=moved, tree_index=flat.tree[boxes], path_index=flat.path_index[boxes],
-                      tweaked=tweaked, distance=distance(values, moved, e.schema, norm),
-                      verdict=s, ensemble=e)
-
-
-def _verdicts(e: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Full-ensemble verdicts of the rows of X, never truncated."""
-    return np.where(ensemble_margins(e, X) > 0, 1, -1)
+    dist = distance(values, moved, e.schema, norm)
+    keep = ok & np.isfinite(dist)
+    boxes = boxes[keep]
+    return Candidates(values=moved[keep], tree_index=flat.tree[boxes],
+                      path_index=flat.path_index[boxes], tweaked=tweaked[keep],
+                      distance=dist[keep], verdict=s, ensemble=e)
 
 
 def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
@@ -270,7 +273,8 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
     the full ensemble in that order, in chunks that double from 64, up to
     the first chunk holding a flip; its first flip is the answer.
     n_candidates_evaluated counts the candidates generated and ranked, not
-    the ones scored. Raises ValueError on a non-finite instance.
+    the ones scored. Raises DataError on a non-finite instance or one of
+    another arity.
 
     target, when given, must be the opposite of the current prediction.
     label, when given, asserts provenance: the instance must be correctly
@@ -296,7 +300,7 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
     start, size = 0, _FIRST_CHUNK
     while start < order.size:
         chunk = order[start:start + size]
-        flipped = np.flatnonzero(_verdicts(e, cands.values[chunk]) != pred)
+        flipped = np.flatnonzero(verdicts(ensemble_margins(e, cands.values[chunk])) != pred)
         if flipped.size:
             best = chunk[flipped[0]]
             return _counterfactual(values, cands.values[best], float(cands.distance[best]),
@@ -324,7 +328,8 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     from the leaf boxes painted onto the threshold lattice
     (_lattice_margins), and only the flipping points are built, in C order
     (the last axis varies fastest), so of equally distant flips the first
-    in that order wins. Raises ValueError on a non-finite instance or a NaN
+    in that order wins; a flip whose distance is not finite is never
+    returned. Raises DataError on a non-finite instance, ValueError on a NaN
     grid value; an infinite grid value is a point like any other."""
     values = _finite_instance(e, x)
     if len(grid) != e.n_features:
@@ -341,11 +346,11 @@ def brute_force_oracle(e: Ensemble, x, grid: list[np.ndarray],
     n_eval = same.size - int(np.count_nonzero(same))
     if n_eval == 0:
         return NotFound(n_candidates_evaluated=0)
-    flip = (np.where(_lattice_margins(e, axes) > 0, 1, -1) != pred) & ~same
-    if not flip.any():
-        return NotFound(n_candidates_evaluated=n_eval)
+    flip = (verdicts(_lattice_margins(e, axes)) != pred) & ~same
     flipping = np.stack([axis[i] for axis, i in zip(axes, np.nonzero(flip))], axis=1)
-    dists = distance(values, flipping, e.schema, norm)
+    dists = distance(values, flipping, e.schema, norm)  # never NaN: x and the grid hold none
+    if not np.isfinite(dists).any():  # no flip, or none at a finite distance
+        return NotFound(n_candidates_evaluated=n_eval)
     i = int(np.argmin(dists))  # first minimum: deterministic in product order
     return _counterfactual(values, flipping[i], float(dists[i]), n_eval)
 

@@ -8,11 +8,17 @@ import pytest
 from tweakboost import (
     MODEL_VERSION,
     DataError,
+    EpsilonPolicy,
     alpha,
+    brute_force_oracle,
     ensemble_margins,
+    explain,
+    generate_candidates,
     load_model,
+    margin_certificate,
     model_from_dict,
     model_to_dict,
+    oracle_grid,
     predict_ensemble,
     save_model,
     staged_predictions,
@@ -203,10 +209,23 @@ def test_predict_ensemble_validates_upto():
         predict_ensemble(e, np.array([1.0, 1.0]), upto=2)
 
 
-def test_predict_ensemble_checks_arity():
+ENTRY_POINTS = {
+    "predict_ensemble": predict_ensemble,
+    "staged_predictions": staged_predictions,
+    "margin_certificate": lambda e, x: margin_certificate(e, x, 1),
+    "generate_candidates": lambda e, x: generate_candidates(e, x, EpsilonPolicy()),
+    "explain": explain,
+    "brute_force_oracle": lambda e, x: brute_force_oracle(e, x, [np.array([1.0])] * 3),
+    "oracle_grid": lambda e, x: oracle_grid(e, x, EpsilonPolicy()),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_predict_ensemble_checks_arity(call):
+    # every entry point takes the instance through Ensemble.instance
     e = desk_ensemble([stump(0, 5.0, -1, 1)], [1.0])
-    with pytest.raises(ValueError, match="shape"):
-        predict_ensemble(e, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DataError, match=r"shape \(3,\), model expects 2 features"):
+        call(e, np.array([1.0, 2.0, 3.0]))
 
 
 def test_ensemble_margins_matches_scalar_path():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ def test_explain_wrong_arity_inline(demo_model_path, capsys):
     assert "expects 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["explain", "--row", "1"], ["verify"]])
+def test_csv_of_another_width_is_one_line_data_error(demo_model_path, small_csv, capsys, command):
+    # small_csv has 2 features, the demo model 8: the library's instance check refuses the row
+    assert run([*command, "--model", str(demo_model_path), "--data", str(small_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "tweakboost: data error: instance has shape (2,), model expects 8 features\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "1e999"])
 def test_explain_non_finite_inline_is_data_error(demo_model_path, capsys, bad):
     inline = ",".join([bad] + ["0.5"] * 7)
@@ -303,6 +313,38 @@ def test_explain_non_finite_epsilon_is_usage_error(demo_model_path, capsys, bad)
                 f"--epsilon={bad}"]) == 1
     captured = capsys.readouterr()
     assert "finite" in captured.err
+    assert captured.out == ""
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which strict JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("where", [
+    ["--demo", "--row", "3", "--epsilon-mode", "absolute", "--epsilon", "1e300"],
+    ["--instance", "50,0.5,0,1e308,1,0,0,0"],
+])
+def test_explain_overflowing_tweak_writes_strict_json_and_no_warning(demo_model_path, capsys,
+                                                                      where):
+    # an epsilon of 1e300 moves every candidate 1e300; a value of 1e308 puts every
+    # candidate that moves feature 3 about 1e308 away: their L2 distances overflow
+    assert run(["explain", "--model", str(demo_model_path), *where]) == 0
+    captured = capsys.readouterr()
+    payload = strict_json(captured.out)
+    assert payload["distance"] is None or math.isfinite(payload["distance"])
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", [["explain", "--row", "3"], ["verify"]])
+def test_epsilon_that_overflows_on_a_feature_is_usage_error(demo_model_path, capsys, command):
+    # range-scaled, 1e308 times any feature range above about 1.8 overflows
+    assert run([*command, "--model", str(demo_model_path), "--demo", "--epsilon", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("tweakboost: error: epsilon 1e+308 times the feature range")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 
@@ -645,6 +687,20 @@ def test_verify_rejects_bad_slack_and_resolution(tmp_path, small_csv, capsys, fl
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and flag in captured.err
     assert captured.out == ""
+
+
+def test_verify_overflowing_epsilon_writes_no_infinite_distance(tmp_path, small_csv, capsys):
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", str(small_csv), "--k", "3", "--depth", "2",
+                "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--model", str(model), "--data", str(small_csv), "--n-instances", "5",
+                "--epsilon-mode", "absolute", "--epsilon", "1e300"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[3:8]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(cell == "" or math.isfinite(float(cell)) for row in rows for cell in row[1:3])
+    assert captured.err == ""
 
 
 def test_verify_accepts_zero_slack(tmp_path, small_csv, capsys):

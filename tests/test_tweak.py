@@ -63,6 +63,16 @@ def test_epsilon_per_feature_scaling():
     np.testing.assert_allclose(EpsilonPolicy(value=0.03).per_feature(const), [0.03])
 
 
+def test_epsilon_that_overflows_on_a_feature_is_refused():
+    # 1e308 times a range of 10 is past the largest float; feature 1 has range 0
+    schema = [*make_schema(1), FeatureSchema(name="c", index=1, min=5.0, max=5.0, mean=5.0,
+                                             stddev=0.0)]
+    with pytest.raises(ValueError, match=r"not finite on features \[0\]"):
+        EpsilonPolicy(value=1e308).per_feature(schema)
+    np.testing.assert_array_equal(
+        EpsilonPolicy(mode="absolute", value=1e308).per_feature(schema), [1e308, 1e308])
+
+
 # -------------------------------------------------- the transform
 
 def test_transform_moves_to_epsilon_inside_upper():
@@ -159,6 +169,17 @@ def test_distance_of_a_matrix_is_its_rows_distances():
         many = distance(x, cands, schema, norm)
         assert many.shape == (40,)
         assert [distance(x, c, schema, norm) for c in cands] == many.tolist()
+
+
+def test_distance_that_overflows_is_inf_without_a_warning():
+    # pyproject turns a RuntimeWarning into an error
+    schema = make_schema(2)  # sigma about 2.9
+    x, far = np.array([-1e308, 0.0]), np.array([[1e308, 0.0], [-1e308, 1e300]])
+    # the difference overflows, then the square of a finite 1e300 / sigma
+    np.testing.assert_array_equal(distance(x, far, schema, "L2_std"), [np.inf, np.inf])
+    l1 = distance(x, far, schema, "L1_std")
+    assert l1[0] == np.inf and l1[1] == 1e300 / schema[1].stddev
+    np.testing.assert_array_equal(distance(x, far, schema, "L0"), [1.0, 1.0])
 
 
 def test_distance_rejects_unknown_norm():
@@ -381,6 +402,32 @@ def test_explain_checks_label_provenance():
     with pytest.raises(ValueError, match="provenance"):
         explain(e, x, EPS_ABS, label=1)
     assert isinstance(explain(e, x, EPS_ABS, label=-1), Counterfactual)
+
+
+def test_candidate_at_an_infinite_distance_is_dropped():
+    # the epsilon step puts every candidate 1e300 from x: its squares overflow under
+    # L2_std, but not the L1_std sum, and the L0 count is finite under any epsilon
+    e = three_stump_ensemble()
+    x = np.array([2.0, 0.5])
+    huge = EpsilonPolicy(mode="absolute", value=1e300)
+    n = len(generate_candidates(e, x, huge, norm="L0"))
+    assert n > 0
+    assert len(generate_candidates(e, x, huge, norm="L2_std")) == 0
+    l1 = generate_candidates(e, x, huge, norm="L1_std")
+    assert len(l1) == n and np.all(np.isfinite(l1.distance))
+    res = explain(e, x, huge)
+    assert isinstance(res, NotFound) and res.n_candidates_evaluated == 0
+
+
+def test_oracle_never_returns_an_infinite_distance():
+    e = desk_ensemble([stump(0, 5.0, -1, 1)], [1.0])
+    x = np.array([1.0, 1.0])  # predicted -1; only feature 0 above 5 flips
+    grid = [np.array([1.0, 1e300]), np.array([1.0])]
+    assert brute_force_oracle(e, x, grid) == NotFound(n_candidates_evaluated=1)
+    assert brute_force_oracle(e, x, grid, norm="L1_std").transformed[0] == 1e300
+    grid[0] = np.array([1.0, 6.0, 1e300])
+    res = brute_force_oracle(e, x, grid)
+    assert res.transformed[0] == 6.0 and res.n_candidates_evaluated == 2
 
 
 def test_epsilon_below_float_resolution_crosses_the_threshold():
