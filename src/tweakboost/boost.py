@@ -68,8 +68,8 @@ class Ensemble:
 
     trajectories[k][i] is instance i's normalized weight after round k
     (trajectories[0] is uniform), so the matrix has len(trees)+1 rows.
-    load_model leaves it undecoded: the first read of trajectories (or
-    n_train) decodes and checks it, and raises DataError when it is bad.
+    load_model leaves it undecoded: the first read of trajectories decodes
+    and checks it, and raises DataError when it is bad.
     Immutable by convention after training; reads are concurrency-safe.
     """
 
@@ -142,15 +142,13 @@ class Ensemble:
     def n_features(self) -> int:
         return len(self.schema)
 
-    @property
-    def n_train(self) -> int:
-        return self.trajectories.shape[1]
-
-    def instance(self, x) -> np.ndarray:
-        """x as a float vector; DataError unless it has the model's arity."""
-        values = np.asarray(x, dtype=np.float64)
-        if values.shape != (self.n_features,):
-            raise DataError(f"instance has shape {values.shape}, model expects "
+    def instance(self, X) -> np.ndarray:
+        """X as a float matrix of instances, one per row; DataError unless
+        every row is a vector of the model's arity. One instance x is
+        checked as [x]."""
+        values = np.asarray(X, dtype=np.float64)
+        if values.shape[1:] != (self.n_features,):
+            raise DataError(f"instance has shape {values.shape[1:]}, model expects "
                             f"{self.n_features} features")
         return values
 
@@ -249,7 +247,7 @@ def predict_ensemble(e: Ensemble, x, upto: int | None = None) -> tuple[int, floa
     The verdict follows verdicts' tie rule. upto restricts the vote to the
     first `upto` trees.
     """
-    m = ensemble_margins(e, e.instance(x)[None, :], upto)[0]
+    m = ensemble_margins(e, [x], upto)[0]
     return int(verdicts(m)), m
 
 
@@ -263,8 +261,9 @@ def verdicts(margins) -> np.ndarray:
 def ensemble_margins(e: Ensemble, X: np.ndarray, upto: int | None = None) -> np.ndarray:
     """Vectorized margins for a matrix of instances, summed in tree order
     from 0.0, over row blocks so that memory stays flat in the row count.
-    upto restricts the vote to the first `upto` trees (Ensemble.prefix)."""
-    X = np.asarray(X, dtype=np.float64)
+    upto restricts the vote to the first `upto` trees (Ensemble.prefix).
+    DataError unless X is a matrix of the model's arity (Ensemble.instance)."""
+    X = e.instance(X)
     upto = e.prefix(upto)
     m = np.zeros(X.shape[0])
     step = max(1, _MARGIN_CELLS // max(upto, 1))
@@ -284,15 +283,16 @@ def vote_sum(alphas: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def staged_predictions(e: Ensemble, x) -> np.ndarray:
     """Per-tree prediction h_k(x) for every round, length K."""
-    return e.flat.signs(e.instance(x)[None, :])[:, 0]
+    return e.flat.signs(e.instance([x]))[:, 0]
 
 
 def weight_trajectory(e: Ensemble, i: int) -> np.ndarray:
     """Training instance i's weight series w_0..w_K, the data behind the
-    sample-weight evolution plots."""
+    sample-weight evolution plots. DataError unless i is a training row."""
     n = e.trajectories.shape[1]
     if not 0 <= i < n:
-        raise IndexError(f"training instance {i} out of range [0, {n})")
+        raise DataError(f"training row {i} has no stored weight trajectory "
+                        f"(model trained on {n} rows)")
     return e.trajectories[:, i].copy()
 
 

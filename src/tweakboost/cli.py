@@ -33,6 +33,7 @@ from .boost import (
     save_model,
     train_adaboost,
     verdicts,
+    weight_trajectory,
 )
 from .data import (
     DataError,
@@ -73,18 +74,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _usage_checked(fn, *args):
-    """fn(*args), with a ValueError it raises reported as a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _load_model_or_die(path: str) -> Ensemble:
     try:
         return load_model(path)
@@ -121,9 +110,9 @@ def _report_text(config: dict, header: str, rows) -> str:
 
 def cmd_train(args) -> int:
     if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.depth < 1:
-        raise UsageError(f"--depth must be >= 1, got {args.depth}")
+        raise ValueError(f"--depth must be >= 1, got {args.depth}")
     ds = _load_dataset(args)
     try:
         e = train_adaboost(ds, K=args.k, max_depth=args.depth, seed=args.seed)
@@ -157,7 +146,7 @@ def _resolve_instance(args) -> tuple[np.ndarray, int | None, int | None]:
             raise DataError(f"cannot parse --instance {args.instance!r}")
         return values, None, None
     if args.data is None and not args.demo:
-        raise UsageError("--row requires --data or --demo")
+        raise ValueError("--row requires --data or --demo")
     ds = _load_dataset(args)
     if not 0 <= args.row < ds.n_rows:
         raise DataError(f"--row {args.row} out of range [0, {ds.n_rows - 1}]")
@@ -165,18 +154,14 @@ def _resolve_instance(args) -> tuple[np.ndarray, int | None, int | None]:
 
 
 def cmd_explain(args) -> int:
-    eps = _usage_checked(EpsilonPolicy, args.epsilon_mode, args.epsilon)
-    strategy, params = _usage_checked(parse_prune_spec, args.prune)
+    eps = EpsilonPolicy(args.epsilon_mode, args.epsilon)
+    strategy, params = parse_prune_spec(args.prune)
 
     e = _load_model_or_die(args.model)
-    _usage_checked(eps.per_feature, e.schema)
     values, row, label = _resolve_instance(args)
     k_prime, notes = select_kprime(e, strategy, params, row, values, label)
-    try:
-        result = explain(e, values, eps, norm=args.norm, k_prime=k_prime,
-                         target=args.target, label=args.label)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    result = explain(e, values, eps, norm=args.norm, k_prime=k_prime,
+                     target=args.target, label=args.label)
     pred, _ = predict_ensemble(e, values)
 
     config = {
@@ -244,18 +229,12 @@ def cmd_report_trajectories(args) -> int:
     try:
         indices = [int(tok) for tok in args.instances.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse --instances {args.instances!r}")
-    for i in indices:
-        if not 0 <= i < e.n_train:
-            raise DataError(
-                f"instance {i} was not in the training split "
-                f"(trajectories stored for rows 0..{e.n_train - 1}); "
-                "weight trajectories exist only for training instances"
-            )
+        raise ValueError(f"cannot parse --instances {args.instances!r}")
+    trajectories = [weight_trajectory(e, i) for i in indices]  # all checked before any write
     os.makedirs(args.out_dir, exist_ok=True)
-    for i in indices:
+    for i, w in zip(indices, trajectories):
         config = {"command": "report-trajectories", "model": args.model, "instance": i}
-        text = _report_text(config, "k,w", enumerate(e.trajectories[:, i].tolist()))
+        text = _report_text(config, "k,w", enumerate(w.tolist()))
         path = os.path.join(args.out_dir, f"trajectory_{i}.csv")
         write_text_atomic(path, [text])
         print(f"trajectory written: {path} ({e.k + 1} rows)")
@@ -266,15 +245,14 @@ def cmd_report_trajectories(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    eps = _usage_checked(EpsilonPolicy, args.epsilon_mode, args.epsilon)
+    eps = EpsilonPolicy(args.epsilon_mode, args.epsilon)
     if args.n_instances < 1:
-        raise UsageError(f"--n-instances must be >= 1, got {args.n_instances}")
+        raise ValueError(f"--n-instances must be >= 1, got {args.n_instances}")
     if args.resolution < 1:
-        raise UsageError(f"--resolution must be >= 1, got {args.resolution}")
+        raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     if not (math.isfinite(args.slack) and args.slack >= 0):
-        raise UsageError(f"--slack must be finite and >= 0, got {args.slack}")
+        raise ValueError(f"--slack must be finite and >= 0, got {args.slack}")
     e = _load_model_or_die(args.model)
-    _usage_checked(eps.per_feature, e.schema)
     ds = _load_dataset(args)
     n = min(args.n_instances, ds.n_rows)
     slack = args.slack
@@ -416,12 +394,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"tweakboost: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DataError as exc:
         print(f"tweakboost: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:  # every other ValueError is a bad flag value
+        print(f"tweakboost: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"tweakboost: i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -199,10 +199,6 @@ def select_kprime(e: Ensemble, strategy: str, params: dict, row: int | None, x,
         return select_kprime_alpha_mass(e, params["mass_fraction"]).k_prime, [
             "trajectory pruning skipped: inline instance has no trajectory; "
             "alpha-mass selection used alone"]
-    if row >= e.n_train:
-        raise DataError(
-            f"row {row} has no stored weight trajectory (model trained on {e.n_train} rows)"
-        )
     if not trajectory_fits(e, row, x, label):
         raise DataError(
             f"row {row}'s stored weight trajectory cannot belong to this instance "
@@ -227,5 +223,5 @@ def margin_certificate(e: Ensemble, x, k_prime: int) -> bool:
     """True when the truncated margin provably cannot be overturned by the
     remaining trees: |margin at K'| > sum of trailing stage weights. When it
     fires, truncated and full predictions agree, unconditionally."""
-    m = float(ensemble_margins(e, e.instance(x)[None, :], upto=k_prime)[0])
+    m = float(ensemble_margins(e, [x], upto=k_prime)[0])
     return abs(m) > float(e.alphas[k_prime:].sum())

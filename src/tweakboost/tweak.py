@@ -198,10 +198,16 @@ def _epsilon_step(values: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     """
     inside = (lower < values) & (values <= upper)
     ok = ~np.any(~inside & (upper - lower <= eps_vec), axis=1)
-    raised = lower + eps_vec
-    raised = np.where(raised == lower, np.nextafter(lower, np.inf), raised)
-    moved = np.where(values > upper, upper - eps_vec, raised)
+    moved = np.where(values > upper, upper - eps_vec, _above(lower, eps_vec))
     return np.where(inside, values, moved), ~inside, ok
+
+
+def _above(lower, eps):
+    """The point eps inside an open lower bound: lower + eps, or the next
+    float above lower where eps is below lower's resolution and lower + eps
+    rounds back to lower, which the interval excludes."""
+    raised = lower + eps
+    return np.where(raised == lower, np.nextafter(lower, np.inf), raised)
 
 
 def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray):
@@ -225,9 +231,9 @@ def epsilon_transform(x, p: Path | FeasibleBox, eps_per_feature: np.ndarray):
 
 
 def _finite_instance(e: Ensemble, x) -> np.ndarray:
-    """e.instance(x), refused with DataError where a value is NaN or
-    infinite: such a value has no finite distance to move by."""
-    values = e.instance(x)
+    """x checked by e.instance as one instance, refused with DataError where
+    a value is NaN or infinite: such a value has no finite distance to move by."""
+    values = e.instance([x])[0]
     bad = np.flatnonzero(~np.isfinite(values)).tolist()
     if bad:
         raise DataError(f"instance values must be finite; features {bad} are not "
@@ -279,6 +285,7 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
     target, when given, must be the opposite of the current prediction.
     label, when given, asserts provenance: the instance must be correctly
     predicted (the classic setting explains true negatives / true positives).
+    A request that breaks either raises DataError.
     threads is accepted for compatibility and ignored.
     """
     eps = eps or EpsilonPolicy()
@@ -286,11 +293,11 @@ def explain(e: Ensemble, x, eps: EpsilonPolicy | None = None,
     cands = generate_candidates(e, values, eps, k_prime=k_prime, norm=norm)
     pred = cands.verdict  # the routing that chose the trees also gave the verdict
     if target is not None and target == pred:
-        raise ValueError(
+        raise DataError(
             f"instance is already predicted {pred:+d}; the request must target the opposite class"
         )
     if label is not None and label != pred:
-        raise ValueError(
+        raise DataError(
             f"provenance assertion failed: label {label:+d} but prediction {pred:+d}"
         )
     # the candidates come in (tree, path) order, so a stable sort by distance
@@ -361,8 +368,7 @@ def _lattice_margins(e: Ensemble, axes: list[np.ndarray]) -> np.ndarray:
 
     A feature's sorted distinct thresholds cut its axis into cells
     (cut[c-1], cut[c]] whose values take the same branch at every node; a
-    value equal to a threshold goes left, and NaN lands in the last cell,
-    which routing also sends right. A leaf box (lower, upper] covers the
+    value equal to a threshold goes left. A leaf box (lower, upper] covers the
     cells searchsorted(cut, lower, "right") to searchsorted(cut, upper,
     "left"), so on the lattice of the cells the grid holds it is a block.
     Each tree's leaves partition that lattice, so adding alphas[tree] *
@@ -405,17 +411,19 @@ def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def oracle_grid(e: Ensemble, x, eps: EpsilonPolicy, resolution: int = 50) -> list[np.ndarray]:
     """Per-feature grids for the oracle that dominate the explain search:
     each axis carries the instance's own value and every epsilon-inside
-    point of every threshold on that feature, padded with uniform fill over
-    the training range up to `resolution` values. Raises ValueError on a
-    non-finite instance, and GridGuardError before any fill when the axes'
-    least sizes already multiply past GRID_GUARD."""
+    point of every threshold on that feature (above a threshold, the next
+    float when eps is below its resolution, as explain's step takes),
+    padded with uniform fill over the training range up to `resolution`
+    values. Raises DataError on a non-finite instance, and GridGuardError
+    before any fill when the axes' least sizes already multiply past
+    GRID_GUARD."""
     values = _finite_instance(e, x)
     eps_vec = eps.per_feature(e.schema)
     feature, threshold = e.flat.feature, e.flat.threshold
     axes = []
     for f in range(e.n_features):
         thr = threshold[feature == f]
-        axes.append({float(values[f]), *(thr - eps_vec[f]).tolist(), *(thr + eps_vec[f]).tolist()})
+        axes.append({float(values[f]), *(thr - eps_vec[f]).tolist(), *_above(thr, eps_vec[f]).tolist()})
     # an axis holds its points and its distinct fill values, at least the larger count
     if math.prod(max(len(pts), resolution - len(pts)) for pts in axes) > GRID_GUARD:
         raise GridGuardError(f"grid size exceeds the {GRID_GUARD} point guard")

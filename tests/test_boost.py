@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from tweakboost import (
     MODEL_VERSION,
     DataError,
     EpsilonPolicy,
+    agreement_rate,
     alpha,
     brute_force_oracle,
     ensemble_margins,
@@ -175,9 +177,9 @@ def test_weight_trajectory_rounds(tiny_ds):
     w = weight_trajectory(e, 3)
     assert w.shape == (e.k + 1,)
     assert w[0] == pytest.approx(1 / 30)
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         weight_trajectory(e, 30)
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         weight_trajectory(e, -1)
 
 
@@ -220,12 +222,31 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
-def test_predict_ensemble_checks_arity(call):
-    # every entry point takes the instance through Ensemble.instance
+def agreement_on_rows(e, X):
+    names = [f"f{j}" for j in range(X.shape[1])]
+    return agreement_rate(e, 1, make_dataset(X, np.ones(len(X), dtype=int), names))
+
+
+# (entry point, input, the shape the error names) for the matrix entry points
+MATRIX_CASES = {
+    "ensemble_margins-narrow": (ensemble_margins, np.ones((4, 1)), "(1,)"),
+    "ensemble_margins-wide": (ensemble_margins, np.ones((4, 3)), "(3,)"),
+    "ensemble_margins-1d": (ensemble_margins, np.ones(2), "()"),
+    "agreement_rate-narrow": (agreement_on_rows, np.ones((4, 1)), "(1,)"),
+    "agreement_rate-wide": (agreement_on_rows, np.ones((4, 3)), "(3,)"),
+}
+ARITY_CASES = {**{name: (call, np.array([1.0, 2.0, 3.0]), "(3,)")
+                  for name, call in ENTRY_POINTS.items()},
+               **{f"{name}-matrix": (call, np.ones((1, 2)), "(1, 2)")
+                  for name, call in ENTRY_POINTS.items()}, **MATRIX_CASES}
+
+
+@pytest.mark.parametrize("call, x, shape", ARITY_CASES.values(), ids=ARITY_CASES.keys())
+def test_predict_ensemble_checks_arity(call, x, shape):
+    # every entry point takes the instance, or each row, through Ensemble.instance
     e = desk_ensemble([stump(0, 5.0, -1, 1)], [1.0])
-    with pytest.raises(DataError, match=r"shape \(3,\), model expects 2 features"):
-        call(e, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DataError, match=rf"shape {re.escape(shape)}, model expects 2 features"):
+        call(e, x)
 
 
 def test_ensemble_margins_matches_scalar_path():
@@ -358,7 +379,7 @@ def test_trajectories_are_decoded_on_first_read_only(saved_models):
         e = load_model(path)
         assert "trajectories" not in vars(e)  # loading decodes no trajectory
         want = model_from_dict(doc).trajectories
-        assert e.n_train == want.shape[1]
+        assert e.trajectories.shape[1] == want.shape[1]
         assert "trajectories" in vars(e)
         assert np.array_equal(e.trajectories, want)
         assert e.trajectories is e.trajectories

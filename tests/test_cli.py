@@ -223,6 +223,39 @@ def test_explain_row_beyond_training_split_has_no_trajectory(tmp_path, demo_mode
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["explain", "report-trajectories"])
+def test_row_without_a_stored_trajectory_is_one_message(tmp_path, demo_model_path, capsys,
+                                                        command):
+    longer = tmp_path / "longer.csv"
+    save_csv(make_demo_dataset(n_rows=700), longer)
+    argv, row = {
+        "explain": (["--data", str(longer), "--row", "650", "--prune", "trajectory"], 650),
+        "report-trajectories": (["--instances", "0,600", "--out-dir", str(tmp_path / "t")], 600),
+    }[command]
+    assert run([command, "--model", str(demo_model_path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"tweakboost: data error: training row {row} has no stored weight "
+                            "trajectory (model trained on 600 rows)\n")
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("flag, sign, message", [
+    ("--target", 1, "the request must target the opposite class"),
+    ("--label", -1, "provenance assertion failed"),
+], ids=["target", "label"])
+def test_explain_target_or_label_against_the_prediction_is_data_error(demo_model_path, capsys,
+                                                                     flag, sign, message):
+    argv = ["explain", "--model", str(demo_model_path), "--demo", "--row", "3"]
+    assert run(argv) == 0
+    pred = json.loads(capsys.readouterr().out)["prediction"]
+    assert run([*argv, flag, str(sign * pred)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tweakboost: data error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_explain_negative_row_is_data_error(demo_model_path):
     assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "-1"]) == 2
 
@@ -346,6 +379,13 @@ def test_epsilon_that_overflows_on_a_feature_is_usage_error(demo_model_path, cap
     assert captured.err.startswith("tweakboost: error: epsilon 1e+308 times the feature range")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_row_fault_is_found_before_an_overflowing_epsilon(demo_model_path, capsys):
+    # explain computes the per-feature epsilon only after the row has been read
+    assert run(["explain", "--model", str(demo_model_path), "--demo", "--row", "9999",
+                "--epsilon", "1e308"]) == 2
+    assert capsys.readouterr().err == "tweakboost: data error: --row 9999 out of range [0, 599]\n"
 
 
 def test_model_without_trees_is_data_error(tmp_path, demo_model_path, capsys):
@@ -489,10 +529,9 @@ def test_corrupt_trajectory_block_is_read_only_where_needed(tmp_path, two_featur
     assert not (tmp_path / "t.json").exists() and not (tmp_path / "traj").exists()
 
     e = load_model(model)
-    for read in (lambda: e.trajectories, lambda: e.n_train):
-        with pytest.raises(DataError) as exc:
-            read()
-        assert isinstance(exc.value, ValueError)
+    with pytest.raises(DataError) as exc:
+        e.trajectories
+    assert isinstance(exc.value, ValueError)
 
 
 def test_model_whose_only_trajectory_block_is_nested_is_data_error(tmp_path, demo_model_path,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tweakboost import (
+    DataError,
     agreement_rate,
     combine_reports,
     make_dataset,
@@ -99,7 +100,7 @@ def test_trajectory_window_larger_than_k():
 
 def test_trajectory_validates_args():
     e = ensemble_with_trajectory(np.full(6, 0.5))
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         select_kprime_trajectory(e, 7)
     with pytest.raises(ValueError):
         select_kprime_trajectory(e, 0, window=0)

@@ -651,6 +651,19 @@ def test_oracle_never_beaten_by_explain_on_its_grid():
             assert oracle.distance <= res.distance + 1e-9
 
 
+def test_oracle_grid_holds_explains_point_below_float_resolution():
+    # 5.0 + 1e-300 == 5.0, which routes left: the grid must carry the next float up, as explain does
+    e = desk_ensemble([stump(0, 5.0, -1, 1)], [1.0])
+    x = np.array([4.0, 5.0])
+    eps = EpsilonPolicy(mode="absolute", value=1e-300)
+    res = explain(e, x, eps)
+    assert res.transformed[0] == np.nextafter(5.0, np.inf)
+    oracle = brute_force_oracle(e, x, oracle_grid(e, x, eps, resolution=3))
+    assert isinstance(oracle, Counterfactual)
+    assert oracle.distance == res.distance
+    np.testing.assert_array_equal(oracle.transformed, res.transformed)
+
+
 def test_oracle_grid_guard():
     e = desk_ensemble([stump(0, 2.5, -1, 1)], [1.0], n_features=3)
     axes = [np.linspace(0, 10, 101)] * 3
