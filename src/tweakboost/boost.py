@@ -10,7 +10,9 @@ view of those bytes, until something reads it. CR and LF are both JSON
 whitespace, so that path translates no line ends. Any other file, such as
 one that is not all ASCII (save_model escapes every non-ASCII name, so it
 never writes one), is parsed whole from the stdlib's text mode over the
-bytes read.
+bytes read. load_model also compiles the trees straight from their JSON
+into the flat form that every evaluation reads (cart.FlatTrees); their
+node objects are built only when Ensemble.trees is read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import FlatTrees, Tree, flatten, grow_tree, tree_from_dict, tree_to_dict
+from .cart import FlatTrees, Tree, _flatten_dicts, flatten, grow_tree, tree_to_dict
 from .data import DataError, Dataset, FeatureSchema, write_text_atomic
 
 log = logging.getLogger(__name__)
@@ -66,14 +68,18 @@ _TRAJECTORY_MEMBER = b', "trajectories": '
 class Ensemble:
     """Ordered trees T_1..T_K with stage weights and training trajectories.
 
+    trees is a list of node objects, or the trees' FlatTrees: load_model
+    compiles the file's trees straight into flat, and the first read of
+    trees rebuilds the node objects from it, once. Nothing that evaluates
+    the model reads trees.
     trajectories[k][i] is instance i's normalized weight after round k
-    (trajectories[0] is uniform), so the matrix has len(trees)+1 rows.
+    (trajectories[0] is uniform), so the matrix has K+1 rows.
     load_model leaves it undecoded: the first read of trajectories decodes
     and checks it, and raises DataError when it is bad.
     Immutable by convention after training; reads are concurrency-safe.
     """
 
-    trees: list[Tree]
+    trees: list[Tree] | FlatTrees
     alphas: np.ndarray
     trajectories: np.ndarray
     staged_errors: np.ndarray
@@ -81,6 +87,8 @@ class Ensemble:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.trees, FlatTrees):
+            self.flat = vars(self).pop("trees")
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
         deferred = isinstance(self.trajectories, memoryview)
         if deferred:
@@ -88,7 +96,7 @@ class Ensemble:
         else:
             self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
         self.staged_errors = np.asarray(self.staged_errors, dtype=np.float64)
-        k = len(self.trees)
+        k = self.k
         if self.alphas.shape != (k,):
             raise ValueError(f"{k} trees but {self.alphas.shape[0]} alphas")
         if self.staged_errors.shape != (k,):
@@ -101,7 +109,7 @@ class Ensemble:
             raise ValueError("staged errors must lie in [0, 0.5)")
 
     def _check_trajectories(self, trajectories: np.ndarray) -> None:
-        k = len(self.trees)
+        k = self.k
         if trajectories.ndim != 2 or trajectories.shape[0] != k + 1:
             raise ValueError(
                 f"trajectories must have K+1={k + 1} rows, got {trajectories.shape}"
@@ -110,8 +118,11 @@ class Ensemble:
             raise ValueError("every trajectory row must sum to 1")
 
     def __getattr__(self, name):
-        # Reached only when normal lookup fails: for trajectories, that is
-        # until a loaded model's block is first read and stored.
+        # Reached only when normal lookup fails: for trees and trajectories,
+        # that is until a loaded model's are first read and stored.
+        if name == "trees" and "flat" in vars(self):
+            self.trees = self.flat.to_trees()
+            return self.trees
         pending = vars(self).get("_trajectory_text")
         if name != "trajectories" or pending is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -130,13 +141,15 @@ class Ensemble:
     @functools.cached_property
     def flat(self) -> FlatTrees:
         """The trees compiled into flat arrays, which every evaluation
-        reads. Built on first use, not at load, and cached, so the trees
-        must not change after that."""
+        reads. A loaded model is given them; one built from node objects
+        compiles them on first use and caches them, so its trees must not
+        change after that."""
         return flatten(self.trees, self.n_features)
 
     @property
     def k(self) -> int:
-        return len(self.trees)
+        trees = vars(self).get("trees")
+        return len(self.flat.feature) if trees is None else len(trees)
 
     @property
     def n_features(self) -> int:
@@ -333,10 +346,12 @@ def _model_members(e: Ensemble) -> list[tuple[str, object]]:
 
 
 def model_from_dict(d: dict) -> Ensemble:
-    """Inverse of model_to_dict. A malformed or inconsistent model (not a
-    JSON object, no trees, tree nodes outside the schema's features,
-    non-finite thresholds, leaf signs other than +-1, non-positive stage
-    weights, staged errors outside [0, 0.5)) raises ValueError."""
+    """Inverse of model_to_dict, with the trees compiled straight into
+    FlatTrees (no node objects until Ensemble.trees is read). A malformed or
+    inconsistent model (not a JSON object, no trees, tree nodes outside the
+    schema's features, non-finite thresholds, leaf signs other than +-1,
+    non-positive stage weights, staged errors outside [0, 0.5)) raises
+    ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
     version = d.get("version")
@@ -357,7 +372,7 @@ def model_from_dict(d: dict) -> Ensemble:
         for s in d["schema"]
     ]
     return Ensemble(  # converts the arrays, but keeps load_model's trajectory view as text
-        trees=[tree_from_dict(t, len(schema)) for t in d["trees"]],
+        trees=_flatten_dicts(d["trees"], len(schema)),
         alphas=d["alphas"],
         trajectories=d["trajectories"],
         staged_errors=d["staged_errors"],

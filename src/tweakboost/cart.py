@@ -16,12 +16,16 @@ pairwise sum over the node's weights of one class, in ascending row order,
 groups differently over any other array). The grower also returns every
 training row's leaf sign, so boosting routes nothing.
 
-fit_tree builds node objects, which the JSON form round-trips. Every
-evaluation reads the flat form instead (flatten): padded per-tree node
-arrays in paired-slot layout (a node's two children in adjacent slots, so
-one child-slot array and one comparison route a row a level down) that
-route many rows through many trees in depth numpy steps, and a leaf-box
-table that holds each leaf's root-to-leaf path as per-feature intervals.
+fit_tree builds node objects, and tree_to_dict writes them in the JSON
+form. Every evaluation reads the flat form instead (FlatTrees): padded
+per-tree node arrays in paired-slot layout (a node's two children in
+adjacent slots, so one child-slot array and one comparison route a row a
+level down) that route many rows through many trees in depth numpy steps,
+and a leaf-box table that holds each leaf's root-to-leaf path as
+per-feature intervals. One compiler (_compile) lays the flat form out from
+the trees' nodes in depth-first order, which two walkers give it: flatten
+over node objects, and _flatten_dicts over the JSON form, so that a model
+load builds no node objects; FlatTrees.to_trees builds them on request.
 predict_tree, enumerate_paths and path_to_box walk the node objects and
 serve as references for the flat form.
 """
@@ -50,7 +54,6 @@ __all__ = [
     "enumerate_paths",
     "path_to_box",
     "tree_to_dict",
-    "tree_from_dict",
 ]
 
 MIN_LEAF_WEIGHT = 1e-6  # of the unit total; avoids zero-mass leaves under skewed boosting weights
@@ -284,7 +287,7 @@ def predict_tree(t: Tree, x) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FlatTrees:
-    """Trees as flat arrays.
+    """Trees as flat arrays, holding all that their node objects hold.
 
     Node arrays are (K, W), padded to the widest tree, in paired-slot
     layout: the root is slot 0 and the two children of an internal node sit
@@ -292,7 +295,8 @@ class FlatTrees:
     A routing step is then at = first[at] + (not value <= threshold[at]). A
     leaf or padding slot j has feature -1, threshold NaN and first j - 1, so
     its comparison fails and the step leaves it at j; a NaN input goes right
-    the same way. sign is the leaf sign, 0 at internal and padding slots.
+    the same way. sign and purity are the leaf's, 0 and NaN at internal and
+    padding slots.
 
     The leaf-box table has one row per leaf, in tree order and left-to-right
     leaf order within a tree: the leaf's path as the box (lower, upper] per
@@ -304,6 +308,7 @@ class FlatTrees:
     threshold: np.ndarray
     first: np.ndarray
     sign: np.ndarray
+    purity: np.ndarray
     depth: int
     lower: np.ndarray
     upper: np.ndarray
@@ -324,57 +329,133 @@ class FlatTrees:
             at = base + first.take(at) + ~(values.take(rows + feature.take(at)) <= threshold.take(at))
         return self.sign.take(at)
 
+    def to_trees(self) -> list[Tree]:
+        """The trees as node objects with Python int and float values: the
+        inverse of flatten."""
+        trees = []
+        columns = (self.feature, self.threshold, self.first, self.sign, self.purity)
+        for feature, threshold, first, sign, purity in zip(*(a.tolist() for a in columns)):
+            nodes, depth = [None] * len(feature), [0] * len(feature)
+            for j in range(len(feature) - 1, -1, -1):  # children sit in later slots than their parent
+                if feature[j] >= 0:
+                    c = first[j]
+                    nodes[j] = Internal(feature[j], threshold[j], nodes[c], nodes[c + 1])
+                    depth[j] = 1 + max(depth[c], depth[c + 1])
+                elif sign[j]:
+                    nodes[j] = Leaf(sign[j], purity[j])
+            trees.append(Tree(root=nodes[0], depth=depth[0], n_leaves=len(sign) - sign.count(0)))
+        return trees
+
 
 def flatten(trees: list[Tree], n_features: int) -> FlatTrees:
-    """Compile trees into FlatTrees.
-
-    One depth-first walk per tree lays out the slots (each internal node
-    claims the next two free slots for its children) and lists the leaves
-    left to right. The leaf-box table is then built with numpy, one
-    ancestor level per step for all leaves of all trees at once.
-    """
-    feature, threshold, first, size, leaves, leaf_sign, path_index = [], [], [], [], [], [], []
+    """Compile trees into FlatTrees, from one depth-first walk over their
+    node objects (see _compile)."""
+    feature, threshold, sign, purity, sizes = [], [], [], [], []
     for t in trees:
         start = len(feature)
-        feature.append(-1)
-        threshold.append(math.nan)
-        first.append(0)
-        n_paths = {-1: 0, 1: 0}
-        stack = [(t.root, 0)]
-        while stack:  # the left child is popped first, so leaves come left to right
-            node, j = stack.pop()
+        stack = [t.root]
+        while stack:  # the left child is popped first: pre-order
+            node = stack.pop()
             if isinstance(node, Leaf):
-                leaves.append(start + j)
-                leaf_sign.append(node.sign)
-                path_index.append(n_paths[node.sign])
-                n_paths[node.sign] += 1
+                feature.append(-1)
+                threshold.append(math.nan)
+                sign.append(node.sign)
+                purity.append(node.purity)
                 continue
-            c = len(feature) - start
-            feature[start + j] = node.feature
-            threshold[start + j] = node.threshold
-            first[start + j] = c
-            feature += (-1, -1)
-            threshold += (math.nan, math.nan)
-            first += (0, 0)
-            stack.append((node.right, c + 1))
-            stack.append((node.left, c))
-        size.append(len(feature) - start)
-    k, width = len(trees), max(size, default=1)
-    size = np.array(size, dtype=np.int64)
-    # slot i of the concatenated trees -> its padded index tree * width + local slot
-    padded = np.arange(len(feature)) + np.repeat(np.arange(k) * width - (np.cumsum(size) - size), size)
-    leaf = padded[np.array(leaves, dtype=np.int64)]
-    leaf_sign = np.array(leaf_sign, dtype=np.int64)
-    feat, thr, fst, sgn = (np.full(k * width, fill, dtype=type(fill)) for fill in (-1, math.nan, 0, 0))
-    feat[padded], thr[padded], fst[padded], sgn[leaf] = feature, threshold, first, leaf_sign
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            sign.append(0)
+            purity.append(math.nan)
+            stack += (node.right, node.left)
+        sizes.append(len(feature) - start)
+    return _compile(feature, threshold, sign, purity, sizes, n_features)
+
+
+def _flatten_dicts(docs: list, n_features: int) -> FlatTrees:
+    """Compile trees in tree_to_dict's JSON form into FlatTrees, from one
+    depth-first walk over the dicts (see _compile). Each value is converted
+    with int() or float(); a leaf sign other than -1/+1, a non-finite
+    threshold or a feature index outside [0, n_features) raises ValueError."""
+    feature, threshold, sign, purity, sizes = [], [], [], [], []
+    for doc in docs:
+        start = len(feature)
+        stack = [doc]
+        while stack:  # the left child is popped first: pre-order
+            obj = stack.pop()
+            if "sign" in obj:
+                s = int(obj["sign"])
+                if s != 1 and s != -1:
+                    raise ValueError(f"leaf sign must be -1 or +1, got {obj['sign']!r}")
+                feature.append(-1)
+                threshold.append(math.nan)
+                sign.append(s)
+                purity.append(float(obj["purity"]))
+                continue
+            f, t = int(obj["feature"]), float(obj["threshold"])
+            if not 0 <= f < n_features:
+                raise ValueError(f"split feature {f} outside [0, {n_features})")
+            if not math.isfinite(t):
+                raise ValueError(f"split threshold {t!r} is not finite")
+            feature.append(f)
+            threshold.append(t)
+            sign.append(0)
+            purity.append(math.nan)
+            left, right = obj["left"], obj["right"]
+            stack += (right, left)
+        sizes.append(len(feature) - start)
+    return _compile(feature, threshold, sign, purity, sizes, n_features)
+
+
+def _compile(feature: list, threshold: list, sign: list, purity: list, sizes: list[int],
+             n_features: int) -> FlatTrees:
+    """FlatTrees of trees given node by node in depth-first pre-order, left
+    subtree first: each node's feature and threshold (-1 and NaN at a leaf)
+    and sign and purity (0 and NaN at an internal node), and each tree's
+    node count in sizes.
+
+    The slots follow from that order. The m-th internal node of a tree has
+    its children in slots 2m + 1 and 2m + 2: the left child is the next
+    node, and the right child the first later node at the parent's level,
+    where a node's level counts +1 per internal node and -1 per leaf before
+    it. The leaves come left to right, and fill the leaf-box table in that
+    order; the boxes are built with numpy, one ancestor level per step for
+    all leaves of all trees at once.
+    """
+    feature, sizes = np.array(feature, dtype=np.int64), np.array(sizes, dtype=np.int64)
+    k, width = sizes.size, int(sizes.max(initial=1))
+    is_inner = feature >= 0
+    step = np.where(is_inner, 1, -1)
+    by_level = np.argsort(np.cumsum(step) - step, kind="stable")
+    after = np.empty(feature.size, dtype=np.int64)  # the next node at the same level
+    after[by_level[:-1]] = by_level[1:]
+    node_tree = np.repeat(np.arange(k), sizes)
+    rank = np.cumsum(is_inner) - is_inner  # internal nodes before each node
+    rank -= rank[np.cumsum(sizes) - sizes][node_tree]  # ... within its tree
+    inner = np.flatnonzero(is_inner)
+    slot = np.zeros(feature.size, dtype=np.int64)  # the roots stay in slot 0
+    slot[inner + 1] = 2 * rank[inner] + 1
+    slot[after[inner]] = 2 * rank[inner] + 2
+    padded = node_tree * width + slot  # each node's index tree * width + slot
+
+    feat, thr, fst, sgn, pur = (np.full(k * width, fill, dtype=type(fill))
+                                for fill in (-1, math.nan, 0, 0, math.nan))
+    feat[padded], thr[padded], sgn[padded], pur[padded] = feature, threshold, sign, purity
+    fst[padded[inner]] = slot[inner + 1]
     idle = feat < 0  # leaves and padding route to themselves
     fst[idle] = np.flatnonzero(idle) % width - 1
 
+    leaf = padded[~is_inner]
+    leaf_sign, leaf_tree = sgn[leaf], leaf // width
+    first_leaf = np.searchsorted(leaf_tree, leaf_tree)  # of each leaf's tree
+    path_index = np.empty(leaf.size, dtype=np.int64)
+    for s in (-1, 1):  # a leaf's count of earlier same-sign leaves in its tree
+        is_s = leaf_sign == s
+        before = np.cumsum(is_s) - is_s
+        path_index[is_s] = (before - before[first_leaf])[is_s]
+
     # the leaf-box table: walk every leaf up to its root, one level per step
-    inner = np.flatnonzero(~idle)
     parent = np.full(k * width, -1)
-    parent[inner - inner % width + fst[inner]] = inner
-    parent[inner - inner % width + fst[inner] + 1] = inner
+    parent[padded[inner + 1]] = parent[padded[after[inner]]] = padded[inner]
     lower = np.full((leaf.size, n_features), -np.inf)
     upper = np.full((leaf.size, n_features), np.inf)
     box, node, depth = np.arange(leaf.size), leaf, 0
@@ -392,13 +473,13 @@ def flatten(trees: list[Tree], n_features: int) -> FlatTrees:
             bound[b, fs] = tighter(bound[b, fs], t[side])
         node = up
     return FlatTrees(
-        *(a.reshape(k, width) for a in (feat, thr, fst, sgn)), depth,
+        *(a.reshape(k, width) for a in (feat, thr, fst, sgn, pur)), depth,
         lower=lower,
         upper=upper,
         leaf_sign=leaf_sign,
-        tree=leaf // width,
+        tree=leaf_tree,
         feasible=~np.any(lower >= upper, axis=1),
-        path_index=np.array(path_index, dtype=np.int64),
+        path_index=path_index,
     )
 
 
@@ -470,33 +551,3 @@ def tree_to_dict(t: Tree) -> dict:
         }
 
     return conv(t.root)
-
-
-def tree_from_dict(d: dict, n_features: int) -> Tree:
-    """Inverse of tree_to_dict. Rejects, with ValueError, a leaf sign other
-    than -1/+1, a non-finite threshold and a feature index outside
-    [0, n_features)."""
-    stats = {"depth": 0, "leaves": 0}
-
-    def conv(obj: dict, depth: int) -> Node:
-        stats["depth"] = max(stats["depth"], depth)
-        if "sign" in obj:
-            stats["leaves"] += 1
-            sign = int(obj["sign"])
-            if sign not in (-1, 1):
-                raise ValueError(f"leaf sign must be -1 or +1, got {obj['sign']!r}")
-            return Leaf(sign=sign, purity=float(obj["purity"]))
-        feature, threshold = int(obj["feature"]), float(obj["threshold"])
-        if not 0 <= feature < n_features:
-            raise ValueError(f"split feature {feature} outside [0, {n_features})")
-        if not math.isfinite(threshold):
-            raise ValueError(f"split threshold {threshold!r} is not finite")
-        return Internal(
-            feature=feature,
-            threshold=threshold,
-            left=conv(obj["left"], depth + 1),
-            right=conv(obj["right"], depth + 1),
-        )
-
-    root = conv(d, 0)
-    return Tree(root=root, depth=stats["depth"], n_leaves=stats["leaves"])

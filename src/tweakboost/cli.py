@@ -137,8 +137,13 @@ def cmd_train(args) -> int:
 def _resolve_instance(args) -> tuple[np.ndarray, int | None, int | None]:
     """Returns (values, training_row_or_None, label_or_None). Inline
     instances have no training row, so trajectory-based pruning cannot
-    apply to them. The library checks the values against the model."""
+    apply to them, and read no data: a data flag given with one is refused.
+    The library checks the values against the model."""
     if args.instance is not None:
+        for flag, value in (("--data", args.data), ("--demo", args.demo),
+                            ("--label-map", args.label_map)):
+            if value:
+                raise ValueError(f"{flag} cannot be used with --instance")
         try:
             values = np.array([float(v) for v in args.instance.split(",")],
                               dtype=np.float64)

@@ -138,15 +138,19 @@ def select_kprime_trajectory(e: Ensemble, i: int, window: int = DEFAULT_WINDOW,
     rel = np.abs(np.diff(w)) / w[:-1]  # rel[k-1] is the change at round k
     k = e.k
     params = {"window": window, "rel_tol": rel_tol, "instance": i, "stabilized": False}
-    for k_prime in range(window, k + 1):
-        if np.all(rel[k_prime - window:k_prime] <= rel_tol):
-            params["stabilized"] = True
-            return PruneReport(
-                k_prime=k_prime,
-                strategy="trajectory",
-                mass_captured=_mass_at(e, k_prime),
-                params=params,
-            )
+    # calm[j] counts the rounds among 1..j within rel_tol (NaN is not), so
+    # the window ending at round K' is calm when calm[K'] - calm[K' - window] == window
+    calm = np.concatenate(([0], np.cumsum(rel <= rel_tol)))
+    hits = np.flatnonzero(calm[window:] - calm[:-window] == window)
+    if hits.size:
+        k_prime = int(hits[0]) + window
+        params["stabilized"] = True
+        return PruneReport(
+            k_prime=k_prime,
+            strategy="trajectory",
+            mass_captured=_mass_at(e, k_prime),
+            params=params,
+        )
     if window > k:
         params["note"] = "window exceeds available rounds"
     else:

@@ -37,6 +37,14 @@ UNREADABLE_CSVS = {
                         ", line 3: field larger than field limit (131072)"),
 }
 
+# one fault in the root of stump(1, 2.5, -1, 1) in a 2-feature model, and the
+# ValueError's message
+BAD_NODES = [("feature", 2, "split feature 2 outside [0, 2)"),
+             ("feature", -1, "split feature -1 outside [0, 2)"),
+             ("threshold", float("nan"), "split threshold nan is not finite"),
+             ("threshold", float("inf"), "split threshold inf is not finite"),
+             ("left", {"sign": 0, "purity": 1.0}, "leaf sign must be -1 or +1, got 0")]
+
 
 def stump(feature: int, threshold: float, left_sign: int, right_sign: int) -> Tree:
     return Tree(

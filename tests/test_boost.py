@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -28,10 +29,11 @@ from tweakboost import (
     update_weights,
     weight_trajectory,
 )
-from tweakboost import make_dataset, make_demo_dataset, save_csv
-from tweakboost.cart import predict_tree
+from tweakboost import cart, cli, make_dataset, make_demo_dataset, save_csv
+from tweakboost.cart import FlatTrees, Internal, Leaf, Tree, fit_tree, predict_tree, tree_to_dict
+from tweakboost.prune import select_kprime
 
-from conftest import desk_ensemble, random_learnable_dataset, stump
+from conftest import BAD_NODES, desk_ensemble, leaf_tree, random_learnable_dataset, stump
 
 
 # -------------------------------------------------- stage weight
@@ -346,13 +348,91 @@ def test_load_model_rejects_a_non_finite_schema_stat(tmp_path, tiny_ds, stat, va
         load_model(path)
 
 
-def test_flat_form_is_compiled_on_first_use_only(tmp_path, tiny_ds):
-    path = tmp_path / "m.json"
-    save_model(train_adaboost(tiny_ds, K=3, max_depth=2), path)
-    e = load_model(path)
-    assert "flat" not in vars(e)  # loading compiles nothing
+def test_flat_form_is_compiled_on_first_use_only(tiny_ds):
+    # an ensemble of node objects compiles its flat form when first evaluated
+    e = train_adaboost(tiny_ds, K=3, max_depth=2)
+    assert "flat" not in vars(e)
     predict_ensemble(e, tiny_ds.rows[0])
     assert e.flat is e.flat
+
+
+def test_model_from_dict_round_trips_trees():
+    rng = np.random.default_rng(3)
+    ds = random_learnable_dataset(rng, 50, 3)
+    t = fit_tree(ds, np.full(50, 0.02), max_depth=3)
+    back = model_from_dict(model_to_dict(desk_ensemble([t], [1.0], n_features=3)))
+    assert back.trees == [t]
+    assert tree_to_dict(back.trees[0]) == tree_to_dict(t)
+
+
+def test_model_from_dict_rejects_bad_nodes():
+    d = model_to_dict(desk_ensemble([stump(1, 2.5, -1, 1)], [1.0]))
+    assert model_from_dict(d).trees == [stump(1, 2.5, -1, 1)]
+    good = d["trees"][0]
+    for key, value, message in BAD_NODES:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_dict({**d, "trees": [{**good, key: value}]})
+
+
+def desk_and_trained_ensembles():
+    """Ensembles whose trees have every shape the flat form handles: bare
+    leaves, stumps and lopsided trees of desk models, and trained trees of
+    depth 1 to 6."""
+    lopsided = Tree(root=Internal(0, 1.0, Leaf(-1, 0.75),
+                                  Internal(1, 2.0, Internal(0, 3.0, Leaf(1, 1.0), Leaf(-1, 0.5)),
+                                           Leaf(1, 0.625))),
+                    depth=3, n_leaves=4)
+    yield desk_ensemble([leaf_tree(1)], [1.0])
+    yield desk_ensemble([leaf_tree(-1), stump(1, 0.5, 1, -1), lopsided, stump(0, 4.0, -1, 1)],
+                        [0.5, 1.0, 2.0, 0.25])
+    ds = random_learnable_dataset(np.random.default_rng(8), 200, 4)
+    for depth in range(1, 7):
+        yield train_adaboost(ds, K=12, max_depth=depth)
+
+
+def test_a_loaded_model_is_compiled_as_its_trees_are(tmp_path):
+    path = tmp_path / "m.json"
+    for e in desk_and_trained_ensembles():
+        save_model(e, path)
+        loaded = load_model(path)
+        assert "flat" in vars(loaded) and "trees" not in vars(loaded)
+        for f in dataclasses.fields(FlatTrees):
+            got, want = getattr(loaded.flat, f.name), getattr(e.flat, f.name)
+            assert np.array_equal(got, want, equal_nan=np.asarray(want).dtype.kind == "f"), f.name
+            assert np.asarray(got).dtype == np.asarray(want).dtype, f.name
+        assert loaded.k == e.k
+        assert loaded.trees == e.trees
+        assert json.dumps(model_to_dict(loaded)) == path.read_text()
+
+
+def test_a_loaded_model_builds_node_objects_only_when_asked(tmp_path, monkeypatch):
+    ds = random_learnable_dataset(np.random.default_rng(5), 60, 2)
+    path, data = tmp_path / "m.json", tmp_path / "d.csv"
+    save_model(train_adaboost(ds, K=10, max_depth=3), path)
+    save_csv(ds, data)
+    to_trees, calls = FlatTrees.to_trees, []
+
+    def counting_to_trees(self):
+        calls.append(self)
+        return to_trees(self)
+
+    monkeypatch.setattr(cart.FlatTrees, "to_trees", counting_to_trees)
+    e = load_model(path)
+    eps = EpsilonPolicy("range_scaled", 0.01)
+    for i in range(3):
+        x = ds.rows[i]
+        k_prime, _ = select_kprime(e, "both", {"mass_fraction": 0.8, "window": 3, "rel_tol": 0.5},
+                                   i, x, int(ds.labels[i]))
+        explain(e, x, eps, k_prime=k_prime)
+        margin_certificate(e, x, k_prime)
+        brute_force_oracle(e, x, oracle_grid(e, x, eps, resolution=5))
+    agreement_rate(e, 3, ds)
+    assert cli.main(["verify", "--model", str(path), "--data", str(data), "--n-instances", "3",
+                     "--resolution", "5", "--out", str(tmp_path / "v.csv")]) == 0
+    assert cli.main(["report-alphas", "--model", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+    assert calls == []
+    assert e.trees is e.trees
+    assert calls == [e.flat]
 
 
 @pytest.fixture(scope="module")

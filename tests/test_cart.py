@@ -26,7 +26,6 @@ from tweakboost.cart import (
     grow_tree,
     path_to_box,
     predict_tree,
-    tree_from_dict,
     tree_to_dict,
 )
 
@@ -462,28 +461,6 @@ def test_tightest_bound_wins():
 
 
 # -------------------------------------------------- serialization
-
-def test_tree_dict_round_trip():
-    rng = np.random.default_rng(3)
-    ds = random_learnable_dataset(rng, 50, 3)
-    t = fit_tree(ds, np.full(50, 0.02), max_depth=3)
-    d = tree_to_dict(t)
-    back = tree_from_dict(d, 3)
-    assert back == t
-    assert tree_to_dict(back) == d
-
-
-def test_tree_from_dict_rejects_bad_nodes():
-    good = tree_to_dict(stump(1, 2.5, -1, 1))
-    assert tree_from_dict(good, n_features=2) == stump(1, 2.5, -1, 1)
-    bad_leaf = {"sign": 0, "purity": 1.0}
-    for key, value, match in (("feature", 2, "feature"), ("feature", -1, "feature"),
-                              ("threshold", float("nan"), "threshold"),
-                              ("threshold", float("inf"), "threshold"),
-                              ("left", bad_leaf, "sign")):
-        with pytest.raises(ValueError, match=match):
-            tree_from_dict({**good, key: value}, n_features=2)
-
 
 def test_tree_dict_key_order():
     t = stump(0, 2.5, -1, 1)

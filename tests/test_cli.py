@@ -4,10 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from tweakboost import DataError, load_model, make_dataset, make_demo_dataset, save_csv, save_model
+from tweakboost import (
+    DataError,
+    load_model,
+    make_dataset,
+    make_demo_dataset,
+    model_to_dict,
+    save_csv,
+    save_model,
+)
 from tweakboost.cli import main, parse_prune_spec
 
 from conftest import (
+    BAD_NODES,
     UNREADABLE_CSVS,
     desk_ensemble,
     leaf_tree,
@@ -310,6 +319,28 @@ def test_explain_invalid_model_is_data_error(tmp_path, demo_model_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["explain", "--model", str(bad), "--demo", "--row", "1"]) == 2
     assert "feature 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", BAD_NODES)
+def test_explain_model_with_a_bad_node_is_data_error(tmp_path, capsys, key, value, message):
+    doc = model_to_dict(desk_ensemble([stump(1, 2.5, -1, 1)], [1.0]))
+    doc["trees"][0][key] = value
+    bad = tmp_path / "bad_node.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(bad), "--instance", "1.0,1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"tweakboost: data error: cannot read model {bad}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--data", "missing.csv"], ["--demo"], ["--label-map", "x"]])
+def test_explain_instance_refuses_a_data_flag(demo_model_path, capsys, flags):
+    # an inline instance reads no data, so a data flag given with it would be dropped
+    assert run(["explain", "--model", str(demo_model_path), "--instance", "1,1,1,1,1,1,1,1",
+                *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"tweakboost: error: {flags[0]} cannot be used with --instance\n"
+    assert captured.out == ""
 
 
 def test_explain_missing_model_is_data_error(tmp_path):

@@ -98,6 +98,25 @@ def test_trajectory_window_larger_than_k():
     assert r.params["note"] == "window exceeds available rounds"
 
 
+def loop_trajectory_kprime(e, i, window, rel_tol):
+    """select_kprime_trajectory's K' as a loop over the candidate K'."""
+    w = e.trajectories[:, i]
+    rel = np.abs(np.diff(w)) / w[:-1]
+    for k_prime in range(window, e.k + 1):
+        if np.all(rel[k_prime - window:k_prime] <= rel_tol):
+            return k_prime, True
+    return e.k, False
+
+
+@pytest.mark.parametrize("window,rel_tol", [(10, 0.02), (5, 0.5), (3, 0.3), (2, 0.0),
+                                            (100, 0.5), (101, 0.5), (150, 0.5)])
+def test_trajectory_window_search_matches_the_loop(demo_model, window, rel_tol):
+    for i in range(demo_model.trajectories.shape[1]):
+        r = select_kprime_trajectory(demo_model, i, window, rel_tol)
+        assert (r.k_prime, r.params["stabilized"]) == loop_trajectory_kprime(
+            demo_model, i, window, rel_tol), i
+
+
 def test_trajectory_validates_args():
     e = ensemble_with_trajectory(np.full(6, 0.5))
     with pytest.raises(DataError):
