@@ -11,8 +11,10 @@ whitespace, so that path translates no line ends. Any other file, such as
 one that is not all ASCII (save_model escapes every non-ASCII name, so it
 never writes one), is parsed whole from the stdlib's text mode over the
 bytes read. load_model also compiles the trees straight from their JSON
-into the flat form that every evaluation reads (cart.FlatTrees); their
-node objects are built only when Ensemble.trees is read.
+into the flat form that every evaluation reads (cart.FlatTrees). Node
+objects, flat trees and the trajectory matrix are Ensemble's three cached
+forms, each seeded by its constructor when given and otherwise built on
+first read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import logging
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,44 +65,44 @@ _MARGIN_CELLS = 1 << 16
 _TRAJECTORY_MEMBER = b', "trajectories": '
 
 
-@dataclass
 class Ensemble:
     """Ordered trees T_1..T_K with stage weights and training trajectories.
 
-    trees is a list of node objects, or the trees' FlatTrees: load_model
-    compiles the file's trees straight into flat, and the first read of
-    trees rebuilds the node objects from it, once. Nothing that evaluates
-    the model reads trees.
+    trees, flat (the trees compiled into a cart.FlatTrees) and trajectories
+    are cached properties, each seeded by the constructor with the form it
+    is given, or else built on first read, once. trees is a list of node
+    objects, or the trees' FlatTrees, as load_model passes them; nothing
+    that evaluates the model reads trees.
     trajectories[k][i] is instance i's normalized weight after round k
-    (trajectories[0] is uniform), so the matrix has K+1 rows.
-    load_model leaves it undecoded: the first read of trajectories decodes
-    and checks it, and raises DataError when it is bad.
+    (trajectories[0] is uniform), so the matrix has K+1 rows. load_model
+    passes it undecoded, as a memoryview: reads decode and check it until
+    one succeeds, and each raises DataError while it is bad.
     Immutable by convention after training; reads are concurrency-safe.
     """
 
-    trees: list[Tree] | FlatTrees
-    alphas: np.ndarray
-    trajectories: np.ndarray
-    staged_errors: np.ndarray
-    schema: list[FeatureSchema]
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if isinstance(self.trees, FlatTrees):
-            self.flat = vars(self).pop("trees")
-        self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        deferred = isinstance(self.trajectories, memoryview)
-        if deferred:
-            self._trajectory_text = vars(self).pop("trajectories")
+    def __init__(self, trees: list[Tree] | FlatTrees, alphas: np.ndarray,
+                 trajectories: np.ndarray | memoryview, staged_errors: np.ndarray,
+                 schema: list[FeatureSchema], config: dict | None = None):
+        if isinstance(trees, FlatTrees):
+            self.flat = trees
+            self.k = len(trees.feature)
         else:
-            self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
-        self.staged_errors = np.asarray(self.staged_errors, dtype=np.float64)
+            self.trees = trees
+            self.k = len(trees)
+        self.alphas = np.asarray(alphas, dtype=np.float64)
+        if isinstance(trajectories, memoryview):
+            self._trajectory_text = trajectories
+        else:
+            self.trajectories = np.asarray(trajectories, dtype=np.float64)
+        self.staged_errors = np.asarray(staged_errors, dtype=np.float64)
+        self.schema = schema
+        self.config = {} if config is None else config
         k = self.k
         if self.alphas.shape != (k,):
             raise ValueError(f"{k} trees but {self.alphas.shape[0]} alphas")
         if self.staged_errors.shape != (k,):
             raise ValueError(f"{k} trees but {self.staged_errors.shape[0]} staged errors")
-        if not deferred:
+        if not isinstance(trajectories, memoryview):  # text is checked on first read
             self._check_trajectories(self.trajectories)
         if not np.all(np.isfinite(self.alphas) & (self.alphas > 0)):
             raise ValueError("alphas must be finite and positive")
@@ -117,27 +118,6 @@ class Ensemble:
         if not np.all(np.abs(trajectories.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("every trajectory row must sum to 1")
 
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: for trees and trajectories,
-        # that is until a loaded model's are first read and stored.
-        if name == "trees" and "flat" in vars(self):
-            self.trees = self.flat.to_trees()
-            return self.trees
-        pending = vars(self).get("_trajectory_text")
-        if name != "trajectories" or pending is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if isinstance(pending, memoryview):
-            # to text, letting go of the file's bytes: the parse's floats are the larger peak
-            pending = self._trajectory_text = str(pending, "ascii")
-        try:
-            trajectories = np.asarray(json.loads(pending), dtype=np.float64)
-            self._check_trajectories(trajectories)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-            raise DataError(f"cannot read the model's trajectory block: {exc}")
-        self.trajectories = trajectories
-        vars(self).pop("_trajectory_text", None)
-        return trajectories
-
     @functools.cached_property
     def flat(self) -> FlatTrees:
         """The trees compiled into flat arrays, which every evaluation
@@ -146,10 +126,25 @@ class Ensemble:
         change after that."""
         return flatten(self.trees, self.n_features)
 
-    @property
-    def k(self) -> int:
-        trees = vars(self).get("trees")
-        return len(self.flat.feature) if trees is None else len(trees)
+    @functools.cached_property
+    def trees(self) -> list[Tree]:
+        """The trees as node objects; a loaded model rebuilds them from flat."""
+        return self.flat.to_trees()
+
+    @functools.cached_property
+    def trajectories(self) -> np.ndarray:
+        """The weight trajectories; a loaded model decodes them from text."""
+        pending = self._trajectory_text
+        if isinstance(pending, memoryview):
+            # to text, letting go of the file's bytes: the parse's floats are the larger peak
+            pending = self._trajectory_text = str(pending, "ascii")
+        try:
+            trajectories = np.asarray(json.loads(pending), dtype=np.float64)
+            self._check_trajectories(trajectories)
+        except (ValueError, RecursionError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"cannot read the model's trajectory block: {exc}")
+        del self._trajectory_text
+        return trajectories
 
     @property
     def n_features(self) -> int:

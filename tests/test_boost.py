@@ -29,7 +29,7 @@ from tweakboost import (
     update_weights,
     weight_trajectory,
 )
-from tweakboost import cart, cli, make_dataset, make_demo_dataset, save_csv
+from tweakboost import boost, cart, cli, make_dataset, make_demo_dataset, save_csv
 from tweakboost.cart import FlatTrees, Internal, Leaf, Tree, fit_tree, predict_tree, tree_to_dict
 from tweakboost.prune import select_kprime
 
@@ -411,12 +411,18 @@ def test_a_loaded_model_builds_node_objects_only_when_asked(tmp_path, monkeypatc
     save_model(train_adaboost(ds, K=10, max_depth=3), path)
     save_csv(ds, data)
     to_trees, calls = FlatTrees.to_trees, []
+    flatten, flattened = boost.flatten, []
 
     def counting_to_trees(self):
         calls.append(self)
         return to_trees(self)
 
+    def counting_flatten(trees, n_features):
+        flattened.append(trees)
+        return flatten(trees, n_features)
+
     monkeypatch.setattr(cart.FlatTrees, "to_trees", counting_to_trees)
+    monkeypatch.setattr(boost, "flatten", counting_flatten)
     e = load_model(path)
     eps = EpsilonPolicy("range_scaled", 0.01)
     for i in range(3):
@@ -433,6 +439,19 @@ def test_a_loaded_model_builds_node_objects_only_when_asked(tmp_path, monkeypatc
     assert calls == []
     assert e.trees is e.trees
     assert calls == [e.flat]
+    assert flattened == []  # a loaded model is given its flat form
+
+    # an ensemble built from node objects compiles them once and never rebuilds them
+    for built in (desk_ensemble([stump(0, 0.5, -1, 1), leaf_tree(1), stump(1, 0.25, 1, -1)],
+                                [1.0, 0.25, 0.5]),
+                  train_adaboost(ds, K=10, max_depth=3)):
+        calls.clear()
+        assert built.k == len(built.trees)
+        for i in range(3):
+            explain(built, ds.rows[i], eps)
+        save_model(built, tmp_path / "built.json")
+        assert calls == [] and flattened == [built.trees]
+        flattened.clear()
 
 
 @pytest.fixture(scope="module")

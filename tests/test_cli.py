@@ -489,6 +489,41 @@ def test_model_with_non_finite_schema_stat_is_data_error(tmp_path, demo_model_pa
     assert captured.out == ""
 
 
+def first_leaf(tree: dict) -> dict:
+    while "sign" not in tree:
+        tree = tree["left"]
+    return tree
+
+
+BEYOND_FLOAT = 10 ** 400  # json.dumps writes it as a 401-digit integer literal
+BEYOND_FLOAT_CASES = {
+    "threshold": lambda doc: doc["trees"][0].update(threshold=BEYOND_FLOAT),
+    "purity": lambda doc: first_leaf(doc["trees"][1]).update(purity=BEYOND_FLOAT),
+    "alpha": lambda doc: doc["alphas"].__setitem__(2, BEYOND_FLOAT),
+    "schema_max": lambda doc: doc["schema"][1].update(max=BEYOND_FLOAT),
+    "staged_error": lambda doc: doc["staged_errors"].__setitem__(3, BEYOND_FLOAT),
+    "trajectory": lambda doc: doc["trajectories"][1].__setitem__(0, BEYOND_FLOAT),
+}
+
+
+@pytest.mark.parametrize("case", list(BEYOND_FLOAT_CASES))
+def test_model_number_beyond_float_range_is_data_error(tmp_path, demo_model_path, capsys, case):
+    doc = json.loads(demo_model_path.read_text())
+    BEYOND_FLOAT_CASES[case](doc)
+    bad = tmp_path / "beyond_float.json"
+    bad.write_text(json.dumps(doc))
+    if case == "trajectory":  # the block is decoded, and fails, only where it is read
+        argv, source = (["report-trajectories", "--instances", "0", "--out-dir",
+                         str(tmp_path / "traj")], "the model's trajectory block")
+    else:
+        argv, source = ["report-alphas", "--out", str(tmp_path / "a.csv")], f"model {bad}"
+    assert run([argv[0], "--model", str(bad), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"tweakboost: data error: cannot read {source}: "
+                            "int too large to convert to float\n")
+    assert captured.out == ""
+
+
 # -------------------------------------------------- a corrupt trajectory block
 
 def corrupt_trajectories(doc: dict, kind: str) -> str:
@@ -560,9 +595,11 @@ def test_corrupt_trajectory_block_is_read_only_where_needed(tmp_path, two_featur
     assert not (tmp_path / "t.json").exists() and not (tmp_path / "traj").exists()
 
     e = load_model(model)
-    with pytest.raises(DataError) as exc:
-        e.trajectories
-    assert isinstance(exc.value, ValueError)
+    for _ in range(2):  # a failed decode caches nothing, so every read fails alike
+        with pytest.raises(DataError, match="trajectory block") as exc:
+            e.trajectories
+        assert isinstance(exc.value, ValueError)
+    assert "trajectories" not in vars(e)
 
 
 def test_model_whose_only_trajectory_block_is_nested_is_data_error(tmp_path, demo_model_path,
