@@ -90,10 +90,6 @@ class Ensemble:
             self.trees = trees
             self.k = len(trees)
         self.alphas = np.asarray(alphas, dtype=np.float64)
-        if isinstance(trajectories, memoryview):
-            self._trajectory_text = trajectories
-        else:
-            self.trajectories = np.asarray(trajectories, dtype=np.float64)
         self.staged_errors = np.asarray(staged_errors, dtype=np.float64)
         self.schema = schema
         self.config = {} if config is None else config
@@ -102,7 +98,10 @@ class Ensemble:
             raise ValueError(f"{k} trees but {self.alphas.shape[0]} alphas")
         if self.staged_errors.shape != (k,):
             raise ValueError(f"{k} trees but {self.staged_errors.shape[0]} staged errors")
-        if not isinstance(trajectories, memoryview):  # text is checked on first read
+        if isinstance(trajectories, memoryview):  # text is checked on first read
+            self._trajectory_text = trajectories
+        else:
+            self.trajectories = np.asarray(trajectories, dtype=np.float64)
             self._check_trajectories(self.trajectories)
         if not np.all(np.isfinite(self.alphas) & (self.alphas > 0)):
             raise ValueError("alphas must be finite and positive")
@@ -122,8 +121,9 @@ class Ensemble:
     def flat(self) -> FlatTrees:
         """The trees compiled into flat arrays, which every evaluation
         reads. A loaded model is given them; one built from node objects
-        compiles them on first use and caches them, so its trees must not
-        change after that."""
+        compiles them on first use, through their JSON form (cart.flatten),
+        and caches them, so its trees must not change after that. A node a
+        load would refuse raises its ValueError then."""
         return flatten(self.trees, self.n_features)
 
     @functools.cached_property
@@ -345,8 +345,8 @@ def model_from_dict(d: dict) -> Ensemble:
     FlatTrees (no node objects until Ensemble.trees is read). A malformed or
     inconsistent model (not a JSON object, no trees, tree nodes outside the
     schema's features, non-finite thresholds, leaf signs other than +-1,
-    non-positive stage weights, staged errors outside [0, 0.5)) raises
-    ValueError."""
+    non-positive stage weights, staged errors outside [0, 0.5), numbers
+    beyond float range) raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
     version = d.get("version")
@@ -354,26 +354,29 @@ def model_from_dict(d: dict) -> Ensemble:
         raise ValueError(f"unsupported model version {version!r}, expected {MODEL_VERSION!r}")
     if not d["trees"]:
         raise ValueError("model has no trees")
-    schema = [
-        FeatureSchema(
-            name=s["name"],
-            index=int(s["index"]),
-            kind=s.get("kind", "numeric"),
-            min=float(s["min"]),
-            max=float(s["max"]),
-            mean=float(s["mean"]),
-            stddev=float(s["stddev"]),
+    try:
+        schema = [
+            FeatureSchema(
+                name=s["name"],
+                index=int(s["index"]),
+                kind=s.get("kind", "numeric"),
+                min=float(s["min"]),
+                max=float(s["max"]),
+                mean=float(s["mean"]),
+                stddev=float(s["stddev"]),
+            )
+            for s in d["schema"]
+        ]
+        return Ensemble(  # converts the arrays, but keeps load_model's trajectory view as text
+            trees=_flatten_dicts(d["trees"], len(schema)),
+            alphas=d["alphas"],
+            trajectories=d["trajectories"],
+            staged_errors=d["staged_errors"],
+            schema=schema,
+            config=dict(d["config"]),
         )
-        for s in d["schema"]
-    ]
-    return Ensemble(  # converts the arrays, but keeps load_model's trajectory view as text
-        trees=_flatten_dicts(d["trees"], len(schema)),
-        alphas=d["alphas"],
-        trajectories=d["trajectories"],
-        staged_errors=d["staged_errors"],
-        schema=schema,
-        config=dict(d["config"]),
-    )
+    except OverflowError as exc:  # float() of a huge int, int() of an infinite float
+        raise ValueError(str(exc)) from exc
 
 
 def save_model(e: Ensemble, path: str | os.PathLike) -> None:

@@ -23,9 +23,11 @@ adjacent slots, so one child-slot array and one comparison route a row a
 level down) that route many rows through many trees in depth numpy steps,
 and a leaf-box table that holds each leaf's root-to-leaf path as
 per-feature intervals. One compiler (_compile) lays the flat form out from
-the trees' nodes in depth-first order, which two walkers give it: flatten
-over node objects, and _flatten_dicts over the JSON form, so that a model
-load builds no node objects; FlatTrees.to_trees builds them on request.
+the trees' nodes in depth-first order, which one walker gives it:
+_flatten_dicts, over the JSON form, checking each node. A model load builds
+no node objects on the way; flatten compiles node objects by way of
+tree_to_dict, so they pass the same checks. FlatTrees.to_trees builds node
+objects on request.
 predict_tree, enumerate_paths and path_to_box walk the node objects and
 serve as references for the flat form.
 """
@@ -348,27 +350,10 @@ class FlatTrees:
 
 
 def flatten(trees: list[Tree], n_features: int) -> FlatTrees:
-    """Compile trees into FlatTrees, from one depth-first walk over their
-    node objects (see _compile)."""
-    feature, threshold, sign, purity, sizes = [], [], [], [], []
-    for t in trees:
-        start = len(feature)
-        stack = [t.root]
-        while stack:  # the left child is popped first: pre-order
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                feature.append(-1)
-                threshold.append(math.nan)
-                sign.append(node.sign)
-                purity.append(node.purity)
-                continue
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            sign.append(0)
-            purity.append(math.nan)
-            stack += (node.right, node.left)
-        sizes.append(len(feature) - start)
-    return _compile(feature, threshold, sign, purity, sizes, n_features)
+    """Compile trees into FlatTrees through their JSON form (tree_to_dict),
+    so node objects get the checks and messages of a model load
+    (_flatten_dicts)."""
+    return _flatten_dicts([tree_to_dict(t) for t in trees], n_features)
 
 
 def _flatten_dicts(docs: list, n_features: int) -> FlatTrees:

@@ -368,10 +368,15 @@ def test_model_from_dict_round_trips_trees():
 def test_model_from_dict_rejects_bad_nodes():
     d = model_to_dict(desk_ensemble([stump(1, 2.5, -1, 1)], [1.0]))
     assert model_from_dict(d).trees == [stump(1, 2.5, -1, 1)]
-    good = d["trees"][0]
+    good, root = d["trees"][0], stump(1, 2.5, -1, 1).root
     for key, value, message in BAD_NODES:
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_dict({**d, "trees": [{**good, key: value}]})
+        # the same fault in node objects fails the same way on first evaluation
+        bad = dataclasses.replace(root, **{key: Leaf(**value) if key == "left" else value})
+        e = desk_ensemble([Tree(root=bad, depth=1, n_leaves=2)], [1.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict_ensemble(e, [1.0, 1.0])
 
 
 def desk_and_trained_ensembles():

@@ -9,6 +9,7 @@ from tweakboost import (
     load_model,
     make_dataset,
     make_demo_dataset,
+    model_from_dict,
     model_to_dict,
     save_csv,
     save_model,
@@ -496,22 +497,33 @@ def first_leaf(tree: dict) -> dict:
 
 
 BEYOND_FLOAT = 10 ** 400  # json.dumps writes it as a 401-digit integer literal
+INFINITE = "1e400"  # written as a bare number, which json reads as inf
+TOO_LARGE, NOT_AN_INT = "int too large to convert to float", "cannot convert float infinity to integer"
+# each puts a number beyond float range into the demo model: the edit, and the message it fails with
 BEYOND_FLOAT_CASES = {
-    "threshold": lambda doc: doc["trees"][0].update(threshold=BEYOND_FLOAT),
-    "purity": lambda doc: first_leaf(doc["trees"][1]).update(purity=BEYOND_FLOAT),
-    "alpha": lambda doc: doc["alphas"].__setitem__(2, BEYOND_FLOAT),
-    "schema_max": lambda doc: doc["schema"][1].update(max=BEYOND_FLOAT),
-    "staged_error": lambda doc: doc["staged_errors"].__setitem__(3, BEYOND_FLOAT),
-    "trajectory": lambda doc: doc["trajectories"][1].__setitem__(0, BEYOND_FLOAT),
+    "threshold": (lambda doc: doc["trees"][0].update(threshold=BEYOND_FLOAT), TOO_LARGE),
+    "purity": (lambda doc: first_leaf(doc["trees"][1]).update(purity=BEYOND_FLOAT), TOO_LARGE),
+    "alpha": (lambda doc: doc["alphas"].__setitem__(2, BEYOND_FLOAT), TOO_LARGE),
+    "schema_max": (lambda doc: doc["schema"][1].update(max=BEYOND_FLOAT), TOO_LARGE),
+    "staged_error": (lambda doc: doc["staged_errors"].__setitem__(3, BEYOND_FLOAT), TOO_LARGE),
+    "trajectory": (lambda doc: doc["trajectories"][1].__setitem__(0, BEYOND_FLOAT), TOO_LARGE),
+    "feature": (lambda doc: doc["trees"][0].update(feature=INFINITE), NOT_AN_INT),
+    "leaf_sign": (lambda doc: first_leaf(doc["trees"][1]).update(sign=INFINITE), NOT_AN_INT),
+    "schema_index": (lambda doc: doc["schema"][1].update(index=INFINITE), NOT_AN_INT),
 }
+
+
+def beyond_float_text(demo_model_path, case: str) -> str:
+    """The demo model's JSON with one BEYOND_FLOAT_CASES edit."""
+    doc = json.loads(demo_model_path.read_text())
+    BEYOND_FLOAT_CASES[case][0](doc)
+    return json.dumps(doc).replace(f'"{INFINITE}"', INFINITE)
 
 
 @pytest.mark.parametrize("case", list(BEYOND_FLOAT_CASES))
 def test_model_number_beyond_float_range_is_data_error(tmp_path, demo_model_path, capsys, case):
-    doc = json.loads(demo_model_path.read_text())
-    BEYOND_FLOAT_CASES[case](doc)
     bad = tmp_path / "beyond_float.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(beyond_float_text(demo_model_path, case))
     if case == "trajectory":  # the block is decoded, and fails, only where it is read
         argv, source = (["report-trajectories", "--instances", "0", "--out-dir",
                          str(tmp_path / "traj")], "the model's trajectory block")
@@ -520,8 +532,21 @@ def test_model_number_beyond_float_range_is_data_error(tmp_path, demo_model_path
     assert run([argv[0], "--model", str(bad), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"tweakboost: data error: cannot read {source}: "
-                            "int too large to convert to float\n")
+                            f"{BEYOND_FLOAT_CASES[case][1]}\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", [case for case in BEYOND_FLOAT_CASES if case != "trajectory"])
+def test_library_reads_a_number_beyond_float_range_as_value_error(tmp_path, demo_model_path,
+                                                                  case):
+    text = beyond_float_text(demo_model_path, case)
+    bad = tmp_path / "beyond_float.json"
+    bad.write_text(text)
+    for read in (lambda: load_model(bad), lambda: model_from_dict(json.loads(text))):
+        with pytest.raises(ValueError) as info:  # an OverflowError is no ValueError
+            read()
+        assert info.type is ValueError
+        assert str(info.value) == BEYOND_FLOAT_CASES[case][1]
 
 
 # -------------------------------------------------- a corrupt trajectory block
