@@ -346,15 +346,17 @@ def model_from_dict(d: dict) -> Ensemble:
     inconsistent model (not a JSON object, no trees, tree nodes outside the
     schema's features, non-finite thresholds, leaf signs other than +-1,
     non-positive stage weights, staged errors outside [0, 0.5), numbers
-    beyond float range) raises ValueError."""
+    beyond float range, a missing member or node key, a member or node of
+    the wrong JSON type) raises ValueError; one that stands for a KeyError,
+    TypeError or OverflowError keeps that error's message."""
     if not isinstance(d, dict):
         raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
     version = d.get("version")
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version!r}, expected {MODEL_VERSION!r}")
-    if not d["trees"]:
-        raise ValueError("model has no trees")
     try:
+        if not d["trees"]:
+            raise ValueError("model has no trees")
         schema = [
             FeatureSchema(
                 name=s["name"],
@@ -375,7 +377,9 @@ def model_from_dict(d: dict) -> Ensemble:
             schema=schema,
             config=dict(d["config"]),
         )
-    except OverflowError as exc:  # float() of a huge int, int() of an infinite float
+    # a missing key, an index or call on the wrong type, float() of a huge
+    # int, int() of an infinite float
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from exc
 
 

@@ -7,14 +7,18 @@ threshold); a leaf with equal weighted class mass predicts -1. The split
 search sorts each feature once per dataset, not per node.
 
 Trees grow level by level (grow_tree; SLIQ's breadth-first growth): one
-gather and one elementwise pass score the (feature, cut) pairs of every
-open node of a depth. Three steps stay per node, because their level-wide
-forms change the model's bits: the prefix sums (a level-wide cumsum minus
-each node's offset rounds differently), the argmin (ties go to the first
-minimum in the node's own (feature, cut) order) and the class sums (numpy's
-pairwise sum over the node's weights of one class, in ascending row order,
-groups differently over any other array). The grower also returns every
-training row's leaf sign, so boosting routes nothing.
+lean pass scores the (feature, cut) pairs of every open node of a depth. It
+gathers the class weights once, computes the impurity in place over the
+prefix sums, and gathers values only for the features with tied values: a
+feature whose sorted values strictly increase has distinct neighbours in
+every node, so any cut of it lies between two values. Three steps stay per
+node, because their level-wide forms change the model's bits: the prefix
+sums (a level-wide cumsum minus each node's offset rounds differently), the
+argmin (ties go to the first minimum in the node's own (feature, cut)
+order) and the class sums (numpy's pairwise sum over the node's weights of
+one class, in ascending row order, groups differently over any other
+array). The grower also returns every training row's leaf sign, so boosting
+routes nothing.
 
 fit_tree builds node objects, and tree_to_dict writes them in the JSON
 form. Every evaluation reads the flat form instead (FlatTrees): padded
@@ -155,10 +159,14 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
     A level's open rows sit in one (n_features + 1, m) array: row f holds
     each open node's rows by ascending feature f (Dataset.feature_order,
     partitioned), the last row holds them by ascending index, and each node
-    owns a contiguous block of columns. One gather and one elementwise pass
-    score every (feature, cut) pair of the level; the prefix sums, the
-    argmin and the class sums stay per node, so a node's numbers do not
-    depend on the other nodes of its level.
+    owns a contiguous block of columns. One pass scores every (feature, cut)
+    pair of the level: a gather of the class weights, and of the values for
+    the features with tied values only; the impurity is computed in place,
+    with each float's operations in the order the formula gives them. The
+    prefix sums, the argmin and the class sums stay per node, so a node's
+    numbers do not depend on the other nodes of its level. The partition
+    takes one destination code per row (left child, right child, closed)
+    through the previous level's array and compresses it twice.
     """
     w = np.asarray(sample_weights, dtype=np.float64)
     if ds.n_rows == 0:
@@ -178,17 +186,26 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
     n = ds.n_rows
     wpn = np.stack([np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)])
     values, offsets = X.T.ravel(), np.arange(ds.n_features)[:, None] * n  # X[i, f] is values[f * n + i]
+    # the features whose sorted values do not strictly increase (ties or
+    # NaN): only their cuts need the distinct-values test
+    srt = values.take(ds.feature_order + offsets)
+    tied = np.flatnonzero(~np.all(srt[:, 1:] > srt[:, :-1], axis=1))
+    # a weight sum is never negative, so a child is light iff it fails one test
+    if min_leaf_weight <= 0:
+        heavy, floor = np.greater, 0.0
+    else:  # tl >= min_leaf_weight > 0 implies tl > 0, and a NaN floor passes nothing
+        heavy, floor = np.greater_equal, min_leaf_weight
     signs = np.empty(n, dtype=np.int64)
     nodes: list = [None]  # a Leaf, or (feature, threshold, left id, right id) until built
     # the level's new nodes: ids, rows (ascending within each node), sizes
     ids, rows, sizes = [0], np.arange(n), [n]
-    order, left, right = np.vstack([ds.feature_order, rows]), None, None
+    order = np.vstack([ds.feature_order, rows])
     depth = 0
     while True:
         # class sums: numpy's pairwise sum over the node's weights of one class
         # in ascending row order (summing zero-filled weights rounds differently)
-        is_pos = y[rows] == 1
-        w_pos, w_neg = w[rows[is_pos]], w[rows[~is_pos]]
+        is_pos = y.take(rows) == 1
+        w_pos, w_neg = w.take(np.compress(is_pos, rows)), w.take(np.compress(~is_pos, rows))
         ends = np.cumsum(sizes)
         n_pos = np.concatenate(([0], np.cumsum(is_pos)))
         bounds = zip(ids, (ends - sizes).tolist(), ends.tolist(),
@@ -206,32 +223,48 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
                 open_sizes.append(e - s)
         if not open_ids:
             break
-        if left is not None:  # the previous level's open rows -> the open children's
-            alive = np.zeros(n, dtype=bool)
-            alive[rows[np.repeat(is_open, sizes)]] = True
-            order = np.concatenate(
-                [order[side.take(order)].reshape(len(order), -1) for side in (left & alive, right & alive)],
-                axis=1)
+        if depth:  # the previous level's open rows -> the open children's
+            dest = np.full(n, 2, dtype=np.int8)  # 0 left, 1 right, 2 closed
+            half = len(ids) // 2  # the new nodes are all left children first
+            dest[rows] = np.repeat(np.where(is_open, np.arange(len(ids)) // half, 2), sizes)
+            to = dest.take(order).ravel()
+            # compress, which is faster than a boolean index
+            order = np.concatenate([np.compress(to == side, order).reshape(len(order), -1)
+                                    for side in (0, 1)], axis=1)
 
         # score every (feature, cut) pair of the level; column j cuts between
-        # columns j and j + 1 of its node
+        # columns j and j + 1 of its node. c holds the prefix sums, which
+        # restart at every node: the left child's class sums (pl, nl). r holds
+        # the right child's (pr, nr); a node's last column gets exactly 0 on
+        # the right, so it is never a cut
+        m = order.shape[1]
         ends = np.cumsum(open_sizes)
         starts = ends - open_sizes
-        vs = values.take(order[:-1] + offsets)
-        wc = np.take(wpn, order[:-1], axis=1)
-        c = np.empty_like(wc)
-        for s, e in zip(starts.tolist(), ends.tolist()):  # prefix sums restart at every node
-            np.add.accumulate(wc[:, :, s:e], axis=2, out=c[:, :, s:e])
-        totals = c.take(np.repeat(ends - 1, open_sizes)[:-1], axis=2)  # at each node's last column
-        pl, nl = c[0, :, :-1], c[1, :, :-1]
-        pr, nr = totals[0] - pl, totals[1] - nl
-        tl, tr = pl + nl, pr + nr
-        # cuts between distinct values, no light child; a node's last column
-        # has tr == 0, so it is never a cut
-        ok = (vs[:, :-1] < vs[:, 1:]) & (tl >= min_leaf_weight) & (tr >= min_leaf_weight) \
-            & (tl > 0) & (tr > 0)
+        c = np.take(wpn, order[:-1], axis=1)
+        r = np.empty_like(c[:, :, :-1])
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            np.add.accumulate(c[:, :, s:e], axis=2, out=c[:, :, s:e])
+            stop = min(e, m - 1)
+            np.subtract(c[:, :, e - 1:e], c[:, :, s:stop], out=r[:, :, s:stop])
+        tl, tr = c[0, :, :-1] + c[1, :, :-1], r[0] + r[1]
+        ok = heavy(tl, floor)  # no light child
+        ok &= heavy(tr, floor)
+        if tied.size:  # cuts between distinct values
+            vs = values.take(order[tied] + offsets[tied])
+            ok[tied] &= vs[:, :-1] < vs[:, 1:]
+        # imp = (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), in
+        # that order of operations: each child's term is computed in place over
+        # its class sums and lands in its weight's array
         with np.errstate(divide="ignore", invalid="ignore"):
-            imp = np.where(ok, (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), np.inf)
+            for sums, weight in ((c[:, :, :-1], tl), (r, tr)):
+                np.square(sums, out=sums)
+                term = sums[0]
+                term += sums[1]
+                term /= weight
+                np.subtract(weight, term, out=weight)
+            imp = tl
+            imp += tr
+        imp[~ok] = np.inf
 
         feature, threshold, parents = [0] * len(open_ids), [0.0] * len(open_ids), []
         for j, (i, (pos, neg), s, e) in enumerate(zip(open_ids, open_sums, starts.tolist(),
@@ -241,7 +274,8 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
             imp_children = float(block[f, cut])
             total = pos + neg
             if imp_children < total - (pos**2 + neg**2) / total:  # inf never is
-                feature[j], threshold[j] = f, float(0.5 * (vs[f, s + cut] + vs[f, s + cut + 1]))
+                lo, hi = order[f, s + cut:s + cut + 2].tolist()
+                feature[j], threshold[j] = f, float(0.5 * (X[lo, f] + X[hi, f]))
                 parents.append(j)
             else:
                 nodes[i] = _leaf(pos, neg)
@@ -260,12 +294,11 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
         is_split[parents] = True
         rows = order[-1]
         routed = np.repeat(is_split, open_sizes)
-        goes_left = X[rows, np.repeat(feature, open_sizes)] <= np.repeat(threshold, open_sizes)
+        goes_left = values.take(np.repeat(feature, open_sizes) * n + rows) \
+            <= np.repeat(threshold, open_sizes)
         to_left, to_right = routed & goes_left, routed & ~goes_left
-        left, right = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        left[rows], right[rows] = to_left, to_right
         n_left = np.add.reduceat(to_left, starts, dtype=np.int64)[parents]
-        rows = np.concatenate([rows[to_left], rows[to_right]])
+        rows = np.concatenate([np.compress(to_left, rows), np.compress(to_right, rows)])
         sizes = n_left.tolist() + (np.asarray(open_sizes)[parents] - n_left).tolist()
         depth += 1
 

@@ -79,7 +79,7 @@ def _load_model_or_die(path: str) -> Ensemble:
         return load_model(path)
     except FileNotFoundError:
         raise DataError(f"no such model file: {path}")
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"cannot read model {path}: {exc}")
 
 

@@ -45,6 +45,18 @@ BAD_NODES = [("feature", 2, "split feature 2 outside [0, 2)"),
              ("threshold", float("inf"), "split threshold inf is not finite"),
              ("left", {"sign": 0, "purity": 1.0}, "leaf sign must be -1 or +1, got 0")]
 
+# a missing key or a value of the wrong JSON type, as an edit of the model
+# document of stump(1, 2.5, -1, 1), and the message of the KeyError or
+# TypeError that reading it raises on the way
+MALFORMED_MODELS = {
+    "no trees": (lambda d: {"version": d["version"]}, "'trees'"),
+    "leaf without purity": (lambda d: {**d, "trees": [{**d["trees"][0], "left": {"sign": -1}}]},
+                            "'purity'"),
+    "node as a list": (lambda d: {**d, "trees": [{**d["trees"][0], "right": [1, 1.0]}]},
+                       "list indices must be integers or slices, not str"),
+    "schema as a number": (lambda d: {**d, "schema": 5}, "'int' object is not iterable"),
+}
+
 
 def stump(feature: int, threshold: float, left_sign: int, right_sign: int) -> Tree:
     return Tree(

@@ -33,7 +33,8 @@ from tweakboost import boost, cart, cli, make_dataset, make_demo_dataset, save_c
 from tweakboost.cart import FlatTrees, Internal, Leaf, Tree, fit_tree, predict_tree, tree_to_dict
 from tweakboost.prune import select_kprime
 
-from conftest import BAD_NODES, desk_ensemble, leaf_tree, random_learnable_dataset, stump
+from conftest import (BAD_NODES, MALFORMED_MODELS, desk_ensemble, leaf_tree, random_learnable_dataset,
+                      stump)
 
 
 # -------------------------------------------------- stage weight
@@ -335,6 +336,16 @@ def test_model_from_dict_rejects_invalid_models(tiny_ds):
     assert model_from_dict({**d, "staged_errors": [0.0]}).staged_errors[0] == 0.0  # a perfect round
 
 
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_model_from_dict_reads_missing_keys_and_wrong_types_as_value_error(case):
+    edit, message = MALFORMED_MODELS[case]
+    with pytest.raises(ValueError) as info:
+        model_from_dict(edit(model_to_dict(desk_ensemble([stump(1, 2.5, -1, 1)], [1.0]))))
+    assert info.type is ValueError  # not the KeyError or TypeError it stands for
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, (KeyError, TypeError))
+
+
 @pytest.mark.parametrize("stat,value", [("stddev", float("nan")), ("stddev", float("inf")),
                                         ("min", float("-inf")), ("max", float("inf")),
                                         ("mean", float("nan"))])
@@ -503,9 +514,9 @@ def test_load_model_gives_what_the_full_parse_gives(saved_models, tmp_path, layo
         redump.write_text(json.dumps(doc, indent=2 if layout == "indent" else None,
                                      sort_keys=layout == "sort_keys"))
         if layout == "nested_only":
-            with pytest.raises(KeyError) as full:
+            with pytest.raises(ValueError) as full:
                 full_parse(redump)
-            with pytest.raises(KeyError) as lazy:
+            with pytest.raises(ValueError) as lazy:
                 load_model(redump)
             assert str(lazy.value) == str(full.value)
             continue

@@ -196,16 +196,21 @@ def tree_shape(node, depth=0):
 
 def test_fit_tree_matches_reference_fit():
     rng = np.random.default_rng(2024)
-    for trial in range(150):
+    for trial in range(200):
         n, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
         X = rng.integers(0, rng.integers(1, 6), size=(n, d)).astype(float)  # many duplicates
         X[:, rng.integers(0, d)] = 3.0  # a constant column
         if rng.random() < 0.5:
             X = X + np.round(rng.normal(size=(n, d)), 1)
+        elif rng.random() < 0.5:  # a column without ties among tied integer ones
+            X[:, rng.integers(0, d)] = rng.permutation(n) * 0.5
         y = rng.choice([-1, 1], size=n)
         w = rng.pareto(1.0, size=n) + 1e-12  # skewed
+        if rng.random() < 0.3:  # weightless rows, and so weightless children
+            w[rng.random(n) < 0.4] = 0.0
+            w[0] += 1e-12  # the sum stays positive
         w /= w.sum()
-        mlw = float(rng.choice([MIN_LEAF_WEIGHT, 0.05, 0.2, 0.45]))
+        mlw = float(rng.choice([0.0, MIN_LEAF_WEIGHT, 0.05, 0.2, 0.45]))
         ds = make_dataset(X, y, [f"f{i}" for i in range(d)])
         for depth in (1, 3, 8):
             got, signs = grow_tree(ds, w, max_depth=depth, min_leaf_weight=mlw)
@@ -229,6 +234,13 @@ def test_boosted_model_on_16000_rows_matches_reference_fit():
     assert max(np.sum(ds.labels == 1), np.sum(ds.labels == -1)) > 8192
     got = model_to_dict(train_adaboost(ds, K=3, max_depth=6))
     assert got == model_to_dict(reference_train(ds, 3, 6))
+
+
+def test_boosted_model_on_6000_rows_matches_reference_fit():
+    # the train-6k benchmark workload's data and depth, for a few rounds
+    ds = make_demo_dataset(n_rows=6000)
+    got = model_to_dict(train_adaboost(ds, K=5, max_depth=4))
+    assert got == model_to_dict(reference_train(ds, 5, 4))
 
 
 def test_split_tie_breaks_to_lower_feature_and_threshold():

@@ -18,6 +18,7 @@ from tweakboost.cli import main, parse_prune_spec
 
 from conftest import (
     BAD_NODES,
+    MALFORMED_MODELS,
     UNREADABLE_CSVS,
     desk_ensemble,
     leaf_tree,
@@ -328,6 +329,17 @@ def test_explain_model_with_a_bad_node_is_data_error(tmp_path, capsys, key, valu
     doc["trees"][0][key] = value
     bad = tmp_path / "bad_node.json"
     bad.write_text(json.dumps(doc))
+    assert run(["explain", "--model", str(bad), "--instance", "1.0,1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"tweakboost: data error: cannot read model {bad}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_explain_model_with_a_missing_key_or_wrong_type_is_data_error(tmp_path, capsys, case):
+    edit, message = MALFORMED_MODELS[case]
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(edit(model_to_dict(desk_ensemble([stump(1, 2.5, -1, 1)], [1.0])))))
     assert run(["explain", "--model", str(bad), "--instance", "1.0,1.0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"tweakboost: data error: cannot read model {bad}: {message}\n"
