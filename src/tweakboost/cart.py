@@ -7,18 +7,16 @@ threshold); a leaf with equal weighted class mass predicts -1. The split
 search sorts each feature once per dataset, not per node.
 
 Trees grow level by level (grow_tree; SLIQ's breadth-first growth): one
-lean pass scores the (feature, cut) pairs of every open node of a depth. It
-gathers the class weights once, computes the impurity in place over the
-prefix sums, and gathers values only for the features with tied values: a
-feature whose sorted values strictly increase has distinct neighbours in
-every node, so any cut of it lies between two values. Three steps stay per
-node, because their level-wide forms change the model's bits: the prefix
-sums (a level-wide cumsum minus each node's offset rounds differently), the
-argmin (ties go to the first minimum in the node's own (feature, cut)
-order) and the class sums (numpy's pairwise sum over the node's weights of
-one class, in ascending row order, groups differently over any other
-array). The grower also returns every training row's leaf sign, so boosting
-routes nothing.
+lean pass scores the (feature, cut) pairs of every open node of a depth: one
+gather each of the class weights and of the values, and the impurity
+computed in place over the prefix sums. Three steps stay per node, because
+their level-wide forms change the model's bits: the prefix sums (a
+level-wide cumsum minus each node's offset rounds differently), the argmin
+(ties go to the first minimum in the node's own (feature, cut) order) and
+the class sums (numpy's pairwise sum over the node's weights of one class,
+in ascending row order, groups differently over any other array). The
+grower also returns every training row's leaf sign, so boosting routes
+nothing.
 
 fit_tree builds node objects, and tree_to_dict writes them in the JSON
 form. Every evaluation reads the flat form instead (FlatTrees): padded
@@ -160,13 +158,13 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
     each open node's rows by ascending feature f (Dataset.feature_order,
     partitioned), the last row holds them by ascending index, and each node
     owns a contiguous block of columns. One pass scores every (feature, cut)
-    pair of the level: a gather of the class weights, and of the values for
-    the features with tied values only; the impurity is computed in place,
-    with each float's operations in the order the formula gives them. The
-    prefix sums, the argmin and the class sums stay per node, so a node's
-    numbers do not depend on the other nodes of its level. The partition
-    takes one destination code per row (left child, right child, closed)
-    through the previous level's array and compresses it twice.
+    pair of the level: a gather each of the class weights and of the values,
+    and the impurity computed in place, with each float's operations in the
+    order the formula gives them. The prefix sums, the argmin and the class
+    sums stay per node, so a node's numbers do not depend on the other nodes
+    of its level. The partition takes one destination code per row (left
+    child, right child, closed) through the previous level's array and
+    compresses it twice.
     """
     w = np.asarray(sample_weights, dtype=np.float64)
     if ds.n_rows == 0:
@@ -186,10 +184,6 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
     n = ds.n_rows
     wpn = np.stack([np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)])
     values, offsets = X.T.ravel(), np.arange(ds.n_features)[:, None] * n  # X[i, f] is values[f * n + i]
-    # the features whose sorted values do not strictly increase (ties or
-    # NaN): only their cuts need the distinct-values test
-    srt = values.take(ds.feature_order + offsets)
-    tied = np.flatnonzero(~np.all(srt[:, 1:] > srt[:, :-1], axis=1))
     # a weight sum is never negative, so a child is light iff it fails one test
     if min_leaf_weight <= 0:
         heavy, floor = np.greater, 0.0
@@ -247,11 +241,10 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
             stop = min(e, m - 1)
             np.subtract(c[:, :, e - 1:e], c[:, :, s:stop], out=r[:, :, s:stop])
         tl, tr = c[0, :, :-1] + c[1, :, :-1], r[0] + r[1]
-        ok = heavy(tl, floor)  # no light child
+        vs = values.take(order[:-1] + offsets)
+        ok = vs[:, :-1] < vs[:, 1:]  # cuts between distinct values, no light child
+        ok &= heavy(tl, floor)
         ok &= heavy(tr, floor)
-        if tied.size:  # cuts between distinct values
-            vs = values.take(order[tied] + offsets[tied])
-            ok[tied] &= vs[:, :-1] < vs[:, 1:]
         # imp = (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), in
         # that order of operations: each child's term is computed in place over
         # its class sums and lands in its weight's array
@@ -274,8 +267,7 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
             imp_children = float(block[f, cut])
             total = pos + neg
             if imp_children < total - (pos**2 + neg**2) / total:  # inf never is
-                lo, hi = order[f, s + cut:s + cut + 2].tolist()
-                feature[j], threshold[j] = f, float(0.5 * (X[lo, f] + X[hi, f]))
+                feature[j], threshold[j] = f, float(0.5 * (vs[f, s + cut] + vs[f, s + cut + 1]))
                 parents.append(j)
             else:
                 nodes[i] = _leaf(pos, neg)
