@@ -10,11 +10,10 @@ view of those bytes, until something reads it. CR and LF are both JSON
 whitespace, so that path translates no line ends. Any other file, such as
 one that is not all ASCII (save_model escapes every non-ASCII name, so it
 never writes one), is parsed whole from the stdlib's text mode over the
-bytes read. load_model also compiles the trees straight from their JSON
-into the flat form that every evaluation reads (cart.FlatTrees). Node
-objects, flat trees and the trajectory matrix are Ensemble's three cached
-forms, each seeded by its constructor when given and otherwise built on
-first read.
+bytes read. An Ensemble holds its trees in the flat form (cart.FlatTrees)
+from construction: train_adaboost and load_model compile it once from the
+trees' JSON form, and save_model writes that JSON back from it. Node
+objects (Ensemble.trees) are built on request only.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .cart import FlatTrees, Tree, _flatten_dicts, flatten, grow_tree, tree_to_dict
+from .cart import FlatTrees, Tree, _flatten_dicts, flatten, grow_tree
 from .data import DataError, Dataset, FeatureSchema, write_text_atomic
 
 log = logging.getLogger(__name__)
@@ -68,11 +67,11 @@ _TRAJECTORY_MEMBER = b', "trajectories": '
 class Ensemble:
     """Ordered trees T_1..T_K with stage weights and training trajectories.
 
-    trees, flat (the trees compiled into a cart.FlatTrees) and trajectories
-    are cached properties, each seeded by the constructor with the form it
-    is given, or else built on first read, once. trees is a list of node
-    objects, or the trees' FlatTrees, as load_model passes them; nothing
-    that evaluates the model reads trees.
+    flat holds the trees as a cart.FlatTrees, which every evaluation and
+    every save reads. train_adaboost and load_model pass it in; a list of
+    node objects is compiled by cart.flatten, so a node a load would refuse
+    raises its ValueError here. trees (node objects, built from flat) and
+    trajectories are cached properties, built on first read.
     trajectories[k][i] is instance i's normalized weight after round k
     (trajectories[0] is uniform), so the matrix has K+1 rows. load_model
     passes it undecoded, as a memoryview: reads decode and check it until
@@ -83,12 +82,8 @@ class Ensemble:
     def __init__(self, trees: list[Tree] | FlatTrees, alphas: np.ndarray,
                  trajectories: np.ndarray | memoryview, staged_errors: np.ndarray,
                  schema: list[FeatureSchema], config: dict | None = None):
-        if isinstance(trees, FlatTrees):
-            self.flat = trees
-            self.k = len(trees.feature)
-        else:
-            self.trees = trees
-            self.k = len(trees)
+        self.flat = trees if isinstance(trees, FlatTrees) else flatten(trees, len(schema))
+        self.k = len(self.flat.feature)
         self.alphas = np.asarray(alphas, dtype=np.float64)
         self.staged_errors = np.asarray(staged_errors, dtype=np.float64)
         self.schema = schema
@@ -114,21 +109,14 @@ class Ensemble:
             raise ValueError(
                 f"trajectories must have K+1={k + 1} rows, got {trajectories.shape}"
             )
+        if not np.all((trajectories >= 0) & (trajectories <= 1)):  # NaN fails; no sum overflows
+            raise ValueError("every trajectory weight must lie in [0, 1]")
         if not np.all(np.abs(trajectories.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("every trajectory row must sum to 1")
 
     @functools.cached_property
-    def flat(self) -> FlatTrees:
-        """The trees compiled into flat arrays, which every evaluation
-        reads. A loaded model is given them; one built from node objects
-        compiles them on first use, through their JSON form (cart.flatten),
-        and caches them, so its trees must not change after that. A node a
-        load would refuse raises its ValueError then."""
-        return flatten(self.trees, self.n_features)
-
-    @functools.cached_property
     def trees(self) -> list[Tree]:
-        """The trees as node objects; a loaded model rebuilds them from flat."""
+        """The trees as node objects, built from flat on first read."""
         return self.flat.to_trees()
 
     @functools.cached_property
@@ -214,7 +202,7 @@ def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0) -> Ensemb
 
     n = ds.n_rows
     w = np.full(n, 1.0 / n)
-    trees: list[Tree] = []
+    trees: list[dict] = []  # in their JSON form
     alphas: list[float] = []
     errors: list[float] = []
     rows = [w.copy()]
@@ -240,7 +228,7 @@ def train_adaboost(ds: Dataset, K: int, max_depth: int, seed: int = 0) -> Ensemb
             break
 
     return Ensemble(
-        trees=trees,
+        trees=_flatten_dicts(trees, ds.n_features),
         alphas=np.array(alphas),
         trajectories=np.array(rows),
         staged_errors=np.array(errors),
@@ -329,7 +317,7 @@ def _model_members(e: Ensemble) -> list[tuple[str, object]]:
             for f in e.schema
         ]),
         ("alphas", e.alphas.tolist()),
-        ("trees", map(tree_to_dict, e.trees)),
+        ("trees", e.flat.to_dicts()),
         ("trajectories", map(np.ndarray.tolist, e.trajectories)),
         ("staged_errors", e.staged_errors.tolist()),
         ("config", {

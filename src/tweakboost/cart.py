@@ -15,21 +15,21 @@ level-wide cumsum minus each node's offset rounds differently), the argmin
 (ties go to the first minimum in the node's own (feature, cut) order) and
 the class sums (numpy's pairwise sum over the node's weights of one class,
 in ascending row order, groups differently over any other array). The
-grower also returns every training row's leaf sign, so boosting routes
-nothing.
+grower gives each tree in its JSON form (tree_to_dict's) and every training
+row's leaf sign, so boosting routes nothing.
 
-fit_tree builds node objects, and tree_to_dict writes them in the JSON
-form. Every evaluation reads the flat form instead (FlatTrees): padded
-per-tree node arrays in paired-slot layout (a node's two children in
-adjacent slots, so one child-slot array and one comparison route a row a
-level down) that route many rows through many trees in depth numpy steps,
-and a leaf-box table that holds each leaf's root-to-leaf path as
-per-feature intervals. One compiler (_compile) lays the flat form out from
-the trees' nodes in depth-first order, which one walker gives it:
-_flatten_dicts, over the JSON form, checking each node. A model load builds
-no node objects on the way; flatten compiles node objects by way of
-tree_to_dict, so they pass the same checks. FlatTrees.to_trees builds node
-objects on request.
+Every evaluation reads the flat form (FlatTrees): padded per-tree node
+arrays in paired-slot layout (a node's two children in adjacent slots, so
+one child-slot array and one comparison route a row a level down) that
+route many rows through many trees in depth numpy steps, and a leaf-box
+table that holds each leaf's root-to-leaf path as per-feature intervals.
+One compiler (_compile) lays the flat form out from the trees' nodes in
+depth-first order, which one walker gives it: _flatten_dicts, over the
+JSON form, checking each node. Grown trees and loaded trees reach it
+without node objects; flatten compiles hand-built node objects by way of
+tree_to_dict, so they pass the same checks. FlatTrees builds the JSON form
+back for a save (to_dicts), and node objects only on request (to_trees),
+as fit_tree does.
 predict_tree, enumerate_paths and path_to_box walk the node objects and
 serve as references for the flat form.
 """
@@ -131,28 +131,28 @@ class FeasibleBox:
     infeasible_features: tuple[int, ...] = field(default=())
 
 
-def _leaf(pos: float, neg: float) -> Leaf:
+def _leaf(pos: float, neg: float) -> dict:
     total = pos + neg
     sign = 1 if pos > neg else -1  # tie -> -1
     purity = (max(pos, neg) / total) if total > 0 else 1.0
-    return Leaf(sign=sign, purity=float(purity))
+    return {"sign": sign, "purity": float(purity)}
 
 
-def fit_tree(ds: Dataset, sample_weights, max_depth: int,
-             min_leaf_weight: float = MIN_LEAF_WEIGHT) -> Tree:
-    """Greedy weighted-Gini CART fit (grow_tree without the training rows'
-    leaf signs).
+def fit_tree(ds: Dataset, sample_weights, max_depth: int) -> Tree:
+    """Greedy weighted-Gini CART fit: grow_tree's tree, compiled and built
+    as node objects.
 
     Splitting stops when the depth limit is reached, the node is pure, no
-    split reduces impurity, or a child would carry weight < min_leaf_weight.
+    split reduces impurity, or a child would carry weight < MIN_LEAF_WEIGHT.
     """
-    return grow_tree(ds, sample_weights, max_depth, min_leaf_weight)[0]
+    root = grow_tree(ds, sample_weights, max_depth)[0]
+    return _flatten_dicts([root], ds.n_features).to_trees()[0]
 
 
-def grow_tree(ds: Dataset, sample_weights, max_depth: int,
-              min_leaf_weight: float = MIN_LEAF_WEIGHT) -> tuple[Tree, np.ndarray]:
-    """fit_tree's tree and every training row's leaf sign, the (n_rows,)
-    array apply_tree would give for ds.rows, grown one level at a time.
+def grow_tree(ds: Dataset, sample_weights, max_depth: int) -> tuple[dict, np.ndarray]:
+    """fit_tree's tree, as the root of its JSON form (tree_to_dict's), and
+    every training row's leaf sign, the (n_rows,) array apply_tree would give
+    for ds.rows, grown one level at a time.
 
     A level's open rows sit in one (n_features + 1, m) array: row f holds
     each open node's rows by ascending feature f (Dataset.feature_order,
@@ -184,13 +184,8 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
     n = ds.n_rows
     wpn = np.stack([np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)])
     values, offsets = X.T.ravel(), np.arange(ds.n_features)[:, None] * n  # X[i, f] is values[f * n + i]
-    # a weight sum is never negative, so a child is light iff it fails one test
-    if min_leaf_weight <= 0:
-        heavy, floor = np.greater, 0.0
-    else:  # tl >= min_leaf_weight > 0 implies tl > 0, and a NaN floor passes nothing
-        heavy, floor = np.greater_equal, min_leaf_weight
     signs = np.empty(n, dtype=np.int64)
-    nodes: list = [None]  # a Leaf, or (feature, threshold, left id, right id) until built
+    nodes: list = [None]  # a leaf's dict, or (feature, threshold, left id, right id) until built
     # the level's new nodes: ids, rows (ascending within each node), sizes
     ids, rows, sizes = [0], np.arange(n), [n]
     order = np.vstack([ds.feature_order, rows])
@@ -209,7 +204,7 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
             pos, neg = float(np.add.reduce(w_pos[a:b])), float(np.add.reduce(w_neg[s - a:e - b]))
             if depth >= max_depth or pos == 0.0 or neg == 0.0:
                 nodes[i] = _leaf(pos, neg)
-                signs[rows[s:e]] = nodes[i].sign
+                signs[rows[s:e]] = nodes[i]["sign"]
             is_open.append(nodes[i] is None)
             if is_open[-1]:
                 open_ids.append(i)
@@ -243,8 +238,8 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
         tl, tr = c[0, :, :-1] + c[1, :, :-1], r[0] + r[1]
         vs = values.take(order[:-1] + offsets)
         ok = vs[:, :-1] < vs[:, 1:]  # cuts between distinct values, no light child
-        ok &= heavy(tl, floor)
-        ok &= heavy(tr, floor)
+        ok &= tl >= MIN_LEAF_WEIGHT  # which implies tl > 0
+        ok &= tr >= MIN_LEAF_WEIGHT
         # imp = (tl - (pl**2 + nl**2) / tl) + (tr - (pr**2 + nr**2) / tr), in
         # that order of operations: each child's term is computed in place over
         # its class sums and lands in its weight's array
@@ -271,7 +266,7 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
                 parents.append(j)
             else:
                 nodes[i] = _leaf(pos, neg)
-                signs[order[-1, s:e]] = nodes[i].sign
+                signs[order[-1, s:e]] = nodes[i]["sign"]
         if not parents:
             break
 
@@ -296,11 +291,10 @@ def grow_tree(ds: Dataset, sample_weights, max_depth: int,
 
     # children have higher ids than their parents, so build from the last id
     for i in range(len(nodes) - 1, -1, -1):
-        if not isinstance(nodes[i], Leaf):
+        if isinstance(nodes[i], tuple):
             f, t, lid, rid = nodes[i]
-            nodes[i] = Internal(feature=f, threshold=t, left=nodes[lid], right=nodes[rid])
-    n_leaves = sum(isinstance(node, Leaf) for node in nodes)
-    return Tree(root=nodes[0], depth=depth, n_leaves=n_leaves), signs
+            nodes[i] = {"feature": f, "threshold": t, "left": nodes[lid], "right": nodes[rid]}
+    return nodes[0], signs
 
 
 def predict_tree(t: Tree, x) -> int:
@@ -359,19 +353,33 @@ class FlatTrees:
     def to_trees(self) -> list[Tree]:
         """The trees as node objects with Python int and float values: the
         inverse of flatten."""
-        trees = []
+        roots = self._build(lambda s, p: (Leaf(s, p), 0),  # each node with its height
+                            lambda f, t, a, b: (Internal(f, t, a[0], b[0]), 1 + max(a[1], b[1])))
+        n_leaves = np.count_nonzero(self.sign, axis=1).tolist()
+        return [Tree(root, depth, n) for (root, depth), n in zip(roots, n_leaves)]
+
+    def to_dicts(self):
+        """An iterator over the trees in tree_to_dict's JSON form."""
+        return self._build(lambda s, p: {"sign": s, "purity": p},
+                           lambda f, t, a, b: {"feature": f, "threshold": t, "left": a, "right": b})
+
+    def _build(self, leaf, internal):
+        """An iterator over the trees' roots, each built from its slots with
+        leaf(sign, purity) and internal(feature, threshold, left, right) over
+        Python values. Each tree's rows become lists in turn: no tree list."""
         columns = (self.feature, self.threshold, self.first, self.sign, self.purity)
-        for feature, threshold, first, sign, purity in zip(*(a.tolist() for a in columns)):
-            nodes, depth = [None] * len(feature), [0] * len(feature)
-            for j in range(len(feature) - 1, -1, -1):  # children sit in later slots than their parent
+        # a tree of m internal nodes fills slots 0..2m; the rest is padding
+        sizes = (2 * np.count_nonzero(self.feature >= 0, axis=1) + 1).tolist()
+        for k, n in enumerate(sizes):
+            feature, threshold, first, sign, purity = (a[k, :n].tolist() for a in columns)
+            nodes = [None] * n
+            for j in range(n - 1, -1, -1):  # children sit in later slots than their parent
                 if feature[j] >= 0:
                     c = first[j]
-                    nodes[j] = Internal(feature[j], threshold[j], nodes[c], nodes[c + 1])
-                    depth[j] = 1 + max(depth[c], depth[c + 1])
-                elif sign[j]:
-                    nodes[j] = Leaf(sign[j], purity[j])
-            trees.append(Tree(root=nodes[0], depth=depth[0], n_leaves=len(sign) - sign.count(0)))
-        return trees
+                    nodes[j] = internal(feature[j], threshold[j], nodes[c], nodes[c + 1])
+                else:
+                    nodes[j] = leaf(sign[j], purity[j])
+            yield nodes[0]
 
 
 def flatten(trees: list[Tree], n_features: int) -> FlatTrees:

@@ -359,12 +359,11 @@ def test_load_model_rejects_a_non_finite_schema_stat(tmp_path, tiny_ds, stat, va
         load_model(path)
 
 
-def test_flat_form_is_compiled_on_first_use_only(tiny_ds):
-    # an ensemble of node objects compiles its flat form when first evaluated
-    e = train_adaboost(tiny_ds, K=3, max_depth=2)
-    assert "flat" not in vars(e)
-    predict_ensemble(e, tiny_ds.rows[0])
-    assert e.flat is e.flat
+def test_flat_form_is_set_at_construction(tiny_ds):
+    # trained and hand-built ensembles hold their flat form from construction
+    for e in (train_adaboost(tiny_ds, K=3, max_depth=2), desk_ensemble([stump(1, 2.5, -1, 1)], [1.0])):
+        assert isinstance(vars(e).get("flat"), FlatTrees)
+        assert "trees" not in vars(e)
 
 
 def test_model_from_dict_round_trips_trees():
@@ -383,24 +382,28 @@ def test_model_from_dict_rejects_bad_nodes():
     for key, value, message in BAD_NODES:
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_dict({**d, "trees": [{**good, key: value}]})
-        # the same fault in node objects fails the same way on first evaluation
+        # the same fault in node objects fails the same way at construction
         bad = dataclasses.replace(root, **{key: Leaf(**value) if key == "left" else value})
-        e = desk_ensemble([Tree(root=bad, depth=1, n_leaves=2)], [1.0])
         with pytest.raises(ValueError, match=re.escape(message)):
-            predict_ensemble(e, [1.0, 1.0])
+            desk_ensemble([Tree(root=bad, depth=1, n_leaves=2)], [1.0])
 
 
-def desk_and_trained_ensembles():
-    """Ensembles whose trees have every shape the flat form handles: bare
-    leaves, stumps and lopsided trees of desk models, and trained trees of
-    depth 1 to 6."""
+def desk_tree_lists():
+    """Hand-built trees of desk models with their alphas: bare leaves,
+    stumps and lopsided trees."""
     lopsided = Tree(root=Internal(0, 1.0, Leaf(-1, 0.75),
                                   Internal(1, 2.0, Internal(0, 3.0, Leaf(1, 1.0), Leaf(-1, 0.5)),
                                            Leaf(1, 0.625))),
                     depth=3, n_leaves=4)
-    yield desk_ensemble([leaf_tree(1)], [1.0])
-    yield desk_ensemble([leaf_tree(-1), stump(1, 0.5, 1, -1), lopsided, stump(0, 4.0, -1, 1)],
-                        [0.5, 1.0, 2.0, 0.25])
+    yield [leaf_tree(1)], [1.0]
+    yield [leaf_tree(-1), stump(1, 0.5, 1, -1), lopsided, stump(0, 4.0, -1, 1)], [0.5, 1.0, 2.0, 0.25]
+
+
+def desk_and_trained_ensembles():
+    """Ensembles whose trees have every shape the flat form handles: those
+    of desk_tree_lists, and trained trees of depth 1 to 6."""
+    for trees, alphas in desk_tree_lists():
+        yield desk_ensemble(trees, alphas)
     ds = random_learnable_dataset(np.random.default_rng(8), 200, 4)
     for depth in range(1, 7):
         yield train_adaboost(ds, K=12, max_depth=depth)
@@ -421,13 +424,21 @@ def test_a_loaded_model_is_compiled_as_its_trees_are(tmp_path):
         assert json.dumps(model_to_dict(loaded)) == path.read_text()
 
 
+def test_flat_trees_write_the_json_form_the_node_objects_write():
+    for e in desk_and_trained_ensembles():
+        assert json.dumps(list(e.flat.to_dicts())) == json.dumps([tree_to_dict(t) for t in e.trees])
+    for trees, alphas in desk_tree_lists():  # and as the nodes the ensemble was built from
+        e = desk_ensemble(trees, alphas)
+        assert e.trees == trees
+        assert json.dumps(list(e.flat.to_dicts())) == json.dumps([tree_to_dict(t) for t in trees])
+
+
 def test_a_loaded_model_builds_node_objects_only_when_asked(tmp_path, monkeypatch):
     ds = random_learnable_dataset(np.random.default_rng(5), 60, 2)
     path, data = tmp_path / "m.json", tmp_path / "d.csv"
-    save_model(train_adaboost(ds, K=10, max_depth=3), path)
     save_csv(ds, data)
     to_trees, calls = FlatTrees.to_trees, []
-    flatten, flattened = boost.flatten, []
+    flatten, flattened = cart.flatten, []
 
     def counting_to_trees(self):
         calls.append(self)
@@ -438,36 +449,45 @@ def test_a_loaded_model_builds_node_objects_only_when_asked(tmp_path, monkeypatc
         return flatten(trees, n_features)
 
     monkeypatch.setattr(cart.FlatTrees, "to_trees", counting_to_trees)
-    monkeypatch.setattr(boost, "flatten", counting_flatten)
+    for module in (cart, boost):
+        monkeypatch.setattr(module, "flatten", counting_flatten)
+    # a trained model is compiled from the grower's JSON form, and a loaded one
+    # from the file's, so neither builds node objects, and a save writes from flat
+    trained = train_adaboost(ds, K=10, max_depth=3)
+    save_model(trained, path)
     e = load_model(path)
     eps = EpsilonPolicy("range_scaled", 0.01)
-    for i in range(3):
-        x = ds.rows[i]
-        k_prime, _ = select_kprime(e, "both", {"mass_fraction": 0.8, "window": 3, "rel_tol": 0.5},
-                                   i, x, int(ds.labels[i]))
-        explain(e, x, eps, k_prime=k_prime)
-        margin_certificate(e, x, k_prime)
-        brute_force_oracle(e, x, oracle_grid(e, x, eps, resolution=5))
-    agreement_rate(e, 3, ds)
+    for model in (trained, e):
+        for i in range(3):
+            x = ds.rows[i]
+            k_prime, _ = select_kprime(model, "both", {"mass_fraction": 0.8, "window": 3,
+                                                       "rel_tol": 0.5}, i, x, int(ds.labels[i]))
+            explain(model, x, eps, k_prime=k_prime)
+            margin_certificate(model, x, k_prime)
+            brute_force_oracle(model, x, oracle_grid(model, x, eps, resolution=5))
+        agreement_rate(model, 3, ds)
+    save_model(e, tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+    assert cli.main(["train", "--data", str(data), "--k", "10", "--depth", "3",
+                     "--out", str(tmp_path / "cli.json")]) == 0
+    assert cli.main(["explain", "--model", str(path), "--data", str(data), "--row", "1",
+                     "--prune", "both:0.8,3,0.5", "--out", str(tmp_path / "x.json")]) == 0
     assert cli.main(["verify", "--model", str(path), "--data", str(data), "--n-instances", "3",
                      "--resolution", "5", "--out", str(tmp_path / "v.csv")]) == 0
     assert cli.main(["report-alphas", "--model", str(path), "--out", str(tmp_path / "a.csv")]) == 0
-    assert calls == []
+    assert calls == [] and flattened == []
     assert e.trees is e.trees
     assert calls == [e.flat]
-    assert flattened == []  # a loaded model is given its flat form
 
-    # an ensemble built from node objects compiles them once and never rebuilds them
-    for built in (desk_ensemble([stump(0, 0.5, -1, 1), leaf_tree(1), stump(1, 0.25, 1, -1)],
-                                [1.0, 0.25, 0.5]),
-                  train_adaboost(ds, K=10, max_depth=3)):
-        calls.clear()
-        assert built.k == len(built.trees)
-        for i in range(3):
-            explain(built, ds.rows[i], eps)
-        save_model(built, tmp_path / "built.json")
-        assert calls == [] and flattened == [built.trees]
-        flattened.clear()
+    # a hand-built ensemble compiles its node objects once, at construction
+    trees = [stump(0, 0.5, -1, 1), leaf_tree(1), stump(1, 0.25, 1, -1)]
+    built = desk_ensemble(trees, [1.0, 0.25, 0.5])
+    assert flattened == [trees]
+    calls.clear()
+    for i in range(3):
+        explain(built, ds.rows[i], eps)
+    save_model(built, tmp_path / "built.json")
+    assert calls == [] and flattened == [trees]
 
 
 @pytest.fixture(scope="module")

@@ -100,7 +100,7 @@ def oracle_impurity_of(X, y, w, f, thr):
 
 # -------------------------------------------------- reference fit
 
-def reference_best_split(X, y, w, idx, min_leaf_weight):
+def reference_best_split(X, y, w, idx):
     """The split search as it was before the per-dataset sort: each node
     re-sorts every feature (stable, over its ascending row indices) and
     scans the features one by one. First strict improvement wins."""
@@ -120,7 +120,7 @@ def reference_best_split(X, y, w, idx, min_leaf_weight):
         pl, nl = cp[cut], cn[cut]
         pr, nr = cp[-1] - pl, cn[-1] - nl
         tl, tr = pl + nl, pr + nr
-        ok = (tl >= min_leaf_weight) & (tr >= min_leaf_weight) & (tl > 0) & (tr > 0)
+        ok = (tl >= MIN_LEAF_WEIGHT) & (tr >= MIN_LEAF_WEIGHT)
         if not np.any(ok):
             continue
         imp = np.full(cut.shape, np.inf)
@@ -133,7 +133,7 @@ def reference_best_split(X, y, w, idx, min_leaf_weight):
     return best
 
 
-def reference_fit_tree(ds, sample_weights, max_depth, min_leaf_weight=MIN_LEAF_WEIGHT):
+def reference_fit_tree(ds, sample_weights, max_depth):
     """fit_tree on top of reference_best_split. Only the nodes are built;
     depth and n_leaves, which tree_to_dict does not read, stay 0."""
     w = np.asarray(sample_weights, dtype=np.float64)
@@ -149,7 +149,7 @@ def reference_fit_tree(ds, sample_weights, max_depth, min_leaf_weight=MIN_LEAF_W
         total = pos + neg
         if depth >= max_depth or pos == 0.0 or neg == 0.0:
             return leaf(pos, neg)
-        found = reference_best_split(X, y, w, idx, min_leaf_weight)
+        found = reference_best_split(X, y, w, idx)
         if found is None:
             return leaf(pos, neg)
         imp_children, f, thr = found
@@ -210,15 +210,14 @@ def test_fit_tree_matches_reference_fit():
             w[rng.random(n) < 0.4] = 0.0
             w[0] += 1e-12  # the sum stays positive
         w /= w.sum()
-        mlw = float(rng.choice([0.0, MIN_LEAF_WEIGHT, 0.05, 0.2, 0.45]))
         ds = make_dataset(X, y, [f"f{i}" for i in range(d)])
         for depth in (1, 3, 8):
-            got, signs = grow_tree(ds, w, max_depth=depth, min_leaf_weight=mlw)
-            want = reference_fit_tree(ds, w, depth, mlw)
-            assert tree_to_dict(got) == tree_to_dict(want), (trial, depth, mlw)
-            assert (got.depth, got.n_leaves) == tree_shape(got.root), (trial, depth, mlw)
-            assert np.array_equal(signs, apply_tree(got, X)), (trial, depth, mlw)
-            assert tree_to_dict(fit_tree(ds, w, depth, mlw)) == tree_to_dict(got)
+            root, signs = grow_tree(ds, w, max_depth=depth)
+            assert root == tree_to_dict(reference_fit_tree(ds, w, depth)), (trial, depth)
+            got = fit_tree(ds, w, depth)
+            assert tree_to_dict(got) == root, (trial, depth)
+            assert (got.depth, got.n_leaves) == tree_shape(got.root), (trial, depth)
+            assert np.array_equal(signs, apply_tree(got, X)), (trial, depth)
 
 
 @pytest.mark.parametrize("depth, K", [(4, 30), (6, 20), (8, 10)])

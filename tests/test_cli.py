@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -570,6 +571,13 @@ def corrupt_trajectories(doc: dict, kind: str) -> str:
         traj[3][0] *= 2.0
     elif kind == "token":
         traj[2][5] = "TOKEN"
+    elif kind == "negative":  # the row still sums to 1
+        traj[1][0] += 5.0
+        traj[1][1] -= 5.0
+    elif kind == "infinite":
+        traj[1][0], traj[1][1] = math.inf, -math.inf
+    elif kind == "huge":  # finite cells whose row sum overflows
+        traj[1][0] = traj[1][1] = 1e308
     else:  # "k-rows": K rows instead of K+1
         traj = traj[:-1]
     return json.dumps({**doc, "trajectories": traj}).replace('"TOKEN"', "oops")
@@ -602,7 +610,7 @@ def block_free_commands(model, data, out):
     ]
 
 
-@pytest.mark.parametrize("kind", ["row-sum", "token", "k-rows"])
+@pytest.mark.parametrize("kind", ["row-sum", "token", "k-rows", "negative", "infinite", "huge"])
 def test_corrupt_trajectory_block_is_read_only_where_needed(tmp_path, two_feature_model,
                                                             capsys, kind):
     model, data = two_feature_model
@@ -623,7 +631,10 @@ def test_corrupt_trajectory_block_is_read_only_where_needed(tmp_path, two_featur
                   "--prune", "both:0.8,5,0.5", "--out", str(tmp_path / "b.json")],
                  ["report-trajectories", "--model", str(model), "--instances", "0,5",
                   "--out-dir", str(tmp_path / "traj")]):
-        assert run(argv) == 2, argv
+        with warnings.catch_warnings(record=True) as seen:  # a warning would be a second line
+            warnings.simplefilter("always")
+            assert run(argv) == 2, argv
+        assert [str(w.message) for w in seen] == [], argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1, argv
