@@ -6,14 +6,13 @@ trajectory matrix (row 0 is the uniform w_0). That matrix is almost all
 of a model file, so neither direction holds it as one piece of text:
 save_model writes every tree and every matrix row on its own, and
 load_model reads the file as bytes and leaves the matrix undecoded, as a
-view of those bytes, until something reads it. CR and LF are both JSON
-whitespace, so that path translates no line ends. Any other file, such as
-one that is not all ASCII (save_model escapes every non-ASCII name, so it
-never writes one), is parsed whole from the stdlib's text mode over the
-bytes read. An Ensemble holds its trees in the flat form (cart.FlatTrees)
-from construction: train_adaboost and load_model compile it once from the
-trees' JSON form, and save_model writes that JSON back from it. Node
-objects (Ensemble.trees) are built on request only.
+view of those bytes. CR and LF are both JSON whitespace, so that path
+translates no line ends. Any other file, such as one that is not all ASCII
+(save_model escapes every non-ASCII name), is parsed whole from the
+stdlib's text mode over the bytes read. In every layout the matrix is
+checked on its first read only. An Ensemble holds its trees in one form,
+cart.FlatTrees: train_adaboost and load_model compile it once from the
+trees' JSON form, and save_model writes that JSON back from it.
 """
 
 from __future__ import annotations
@@ -67,20 +66,20 @@ _TRAJECTORY_MEMBER = b', "trajectories": '
 class Ensemble:
     """Ordered trees T_1..T_K with stage weights and training trajectories.
 
-    flat holds the trees as a cart.FlatTrees, which every evaluation and
-    every save reads. train_adaboost and load_model pass it in; a list of
-    node objects is compiled by cart.flatten, so a node a load would refuse
-    raises its ValueError here. trees (node objects, built from flat) and
-    trajectories are cached properties, built on first read.
-    trajectories[k][i] is instance i's normalized weight after round k
-    (trajectories[0] is uniform), so the matrix has K+1 rows. load_model
-    passes it undecoded, as a memoryview: reads decode and check it until
-    one succeeds, and each raises DataError while it is bad.
+    flat holds the trees as a cart.FlatTrees, their one form here, which
+    every evaluation and every save reads (flat.to_trees() builds node
+    objects). train_adaboost and load_model pass it in; a list of node
+    objects is compiled by cart.flatten, so a node a load would refuse
+    raises its ValueError here. trajectories[k][i] is instance i's
+    normalized weight after round k (trajectories[0] is uniform), so the
+    matrix has K+1 rows. It is kept as given (an array, lists, or
+    load_model's text as a memoryview) and checked on first read: each
+    read raises DataError while it is bad.
     Immutable by convention after training; reads are concurrency-safe.
     """
 
     def __init__(self, trees: list[Tree] | FlatTrees, alphas: np.ndarray,
-                 trajectories: np.ndarray | memoryview, staged_errors: np.ndarray,
+                 trajectories: np.ndarray | list | memoryview, staged_errors: np.ndarray,
                  schema: list[FeatureSchema], config: dict | None = None):
         self.flat = trees if isinstance(trees, FlatTrees) else flatten(trees, len(schema))
         self.k = len(self.flat.feature)
@@ -88,50 +87,36 @@ class Ensemble:
         self.staged_errors = np.asarray(staged_errors, dtype=np.float64)
         self.schema = schema
         self.config = {} if config is None else config
-        k = self.k
-        if self.alphas.shape != (k,):
-            raise ValueError(f"{k} trees but {self.alphas.shape[0]} alphas")
-        if self.staged_errors.shape != (k,):
-            raise ValueError(f"{k} trees but {self.staged_errors.shape[0]} staged errors")
-        if isinstance(trajectories, memoryview):  # text is checked on first read
-            self._trajectory_text = trajectories
-        else:
-            self.trajectories = np.asarray(trajectories, dtype=np.float64)
-            self._check_trajectories(self.trajectories)
+        self._trajectory_block = trajectories
+        if self.alphas.shape != (self.k,):
+            raise ValueError(f"{self.k} trees but {self.alphas.shape[0]} alphas")
+        if self.staged_errors.shape != (self.k,):
+            raise ValueError(f"{self.k} trees but {self.staged_errors.shape[0]} staged errors")
         if not np.all(np.isfinite(self.alphas) & (self.alphas > 0)):
             raise ValueError("alphas must be finite and positive")
         if not np.all((self.staged_errors >= 0) & (self.staged_errors < 0.5)):  # NaN fails too
             raise ValueError("staged errors must lie in [0, 0.5)")
 
-    def _check_trajectories(self, trajectories: np.ndarray) -> None:
-        k = self.k
-        if trajectories.ndim != 2 or trajectories.shape[0] != k + 1:
-            raise ValueError(
-                f"trajectories must have K+1={k + 1} rows, got {trajectories.shape}"
-            )
-        if not np.all((trajectories >= 0) & (trajectories <= 1)):  # NaN fails; no sum overflows
-            raise ValueError("every trajectory weight must lie in [0, 1]")
-        if not np.all(np.abs(trajectories.sum(axis=1) - 1.0) <= 1e-9):
-            raise ValueError("every trajectory row must sum to 1")
-
-    @functools.cached_property
-    def trees(self) -> list[Tree]:
-        """The trees as node objects, built from flat on first read."""
-        return self.flat.to_trees()
-
     @functools.cached_property
     def trajectories(self) -> np.ndarray:
-        """The weight trajectories; a loaded model decodes them from text."""
-        pending = self._trajectory_text
-        if isinstance(pending, memoryview):
-            # to text, letting go of the file's bytes: the parse's floats are the larger peak
-            pending = self._trajectory_text = str(pending, "ascii")
+        """The weight trajectories, decoded where they are text, then checked."""
+        k, block = self.k, self._trajectory_block
+        if isinstance(block, memoryview):  # to text, freeing the file's bytes before the parse
+            block = self._trajectory_block = str(block, "ascii")
         try:
-            trajectories = np.asarray(json.loads(pending), dtype=np.float64)
-            self._check_trajectories(trajectories)
-        except (ValueError, RecursionError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+            trajectories = np.asarray(json.loads(block) if isinstance(block, str) else block,
+                                      dtype=np.float64)
+            if trajectories.ndim != 2 or trajectories.shape[0] != k + 1:
+                raise ValueError(f"trajectories must have K+1={k + 1} rows, "
+                                 f"got {trajectories.shape}")
+            if not np.all((trajectories >= 0) & (trajectories <= 1)):  # NaN fails; no sum overflows
+                raise ValueError("every trajectory weight must lie in [0, 1]")
+            if not np.all(np.abs(trajectories.sum(axis=1) - 1.0) <= 1e-9):
+                raise ValueError("every trajectory row must sum to 1")
+        # JSONDecodeError is a ValueError; TypeError comes of a member of the wrong JSON type
+        except (ValueError, TypeError, RecursionError, OverflowError) as exc:
             raise DataError(f"cannot read the model's trajectory block: {exc}")
-        del self._trajectory_text
+        del self._trajectory_block
         return trajectories
 
     @property
@@ -330,13 +315,14 @@ def _model_members(e: Ensemble) -> list[tuple[str, object]]:
 
 def model_from_dict(d: dict) -> Ensemble:
     """Inverse of model_to_dict, with the trees compiled straight into
-    FlatTrees (no node objects until Ensemble.trees is read). A malformed or
-    inconsistent model (not a JSON object, no trees, tree nodes outside the
-    schema's features, non-finite thresholds, leaf signs other than +-1,
-    non-positive stage weights, staged errors outside [0, 0.5), numbers
-    beyond float range, a missing member or node key, a member or node of
-    the wrong JSON type) raises ValueError; one that stands for a KeyError,
-    TypeError or OverflowError keeps that error's message."""
+    FlatTrees and the trajectory block passed on as given (Ensemble checks
+    it on first read). A malformed or inconsistent model (not a JSON
+    object, no trees, tree nodes outside the schema's features, non-finite
+    thresholds, leaf signs other than +-1, non-positive stage weights,
+    staged errors outside [0, 0.5), numbers beyond float range, a missing
+    member or node key, a member or node of the wrong JSON type) raises
+    ValueError; one that stands for a KeyError, TypeError or OverflowError
+    keeps that error's message."""
     if not isinstance(d, dict):
         raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
     version = d.get("version")
@@ -357,7 +343,7 @@ def model_from_dict(d: dict) -> Ensemble:
             )
             for s in d["schema"]
         ]
-        return Ensemble(  # converts the arrays, but keeps load_model's trajectory view as text
+        return Ensemble(  # the trajectory block passes as it is, checked on first read
             trees=_flatten_dicts(d["trees"], len(schema)),
             alphas=d["alphas"],
             trajectories=d["trajectories"],

@@ -25,11 +25,11 @@ route many rows through many trees in depth numpy steps, and a leaf-box
 table that holds each leaf's root-to-leaf path as per-feature intervals.
 One compiler (_compile) lays the flat form out from the trees' nodes in
 depth-first order, which one walker gives it: _flatten_dicts, over the
-JSON form, checking each node. Grown trees and loaded trees reach it
-without node objects; flatten compiles hand-built node objects by way of
-tree_to_dict, so they pass the same checks. FlatTrees builds the JSON form
-back for a save (to_dicts), and node objects only on request (to_trees),
-as fit_tree does.
+JSON form, checks each node and assigns its slot as it goes. Grown trees
+and loaded trees reach it without node objects; flatten compiles
+hand-built node objects by way of tree_to_dict, so they pass the same
+checks. FlatTrees builds the JSON form back for a save (to_dicts), and
+node objects only on request (to_trees), as fit_tree does.
 predict_tree, enumerate_paths and path_to_box walk the node objects and
 serve as references for the flat form.
 """
@@ -391,15 +391,16 @@ def flatten(trees: list[Tree], n_features: int) -> FlatTrees:
 
 def _flatten_dicts(docs: list, n_features: int) -> FlatTrees:
     """Compile trees in tree_to_dict's JSON form into FlatTrees, from one
-    depth-first walk over the dicts (see _compile). Each value is converted
-    with int() or float(); a leaf sign other than -1/+1, a non-finite
+    depth-first walk that gives each node its slot (see _compile). Values
+    go through int() or float(); a leaf sign other than -1/+1, a non-finite
     threshold or a feature index outside [0, n_features) raises ValueError."""
-    feature, threshold, sign, purity, sizes = [], [], [], [], []
+    feature, threshold, sign, purity, slot, sizes = [], [], [], [], [], []
     for doc in docs:
-        start = len(feature)
-        stack = [doc]
+        m = 0  # the tree's internal nodes so far
+        stack = [(doc, 0)]
         while stack:  # the left child is popped first: pre-order
-            obj = stack.pop()
+            obj, at = stack.pop()
+            slot.append(at)
             if "sign" in obj:
                 s = int(obj["sign"])
                 if s != 1 and s != -1:
@@ -419,41 +420,29 @@ def _flatten_dicts(docs: list, n_features: int) -> FlatTrees:
             sign.append(0)
             purity.append(math.nan)
             left, right = obj["left"], obj["right"]
-            stack += (right, left)
-        sizes.append(len(feature) - start)
-    return _compile(feature, threshold, sign, purity, sizes, n_features)
+            stack += ((right, 2 * m + 2), (left, 2 * m + 1))
+            m += 1
+        sizes.append(2 * m + 1)
+    return _compile(feature, threshold, sign, purity, slot, sizes, n_features)
 
 
-def _compile(feature: list, threshold: list, sign: list, purity: list, sizes: list[int],
-             n_features: int) -> FlatTrees:
+def _compile(feature: list, threshold: list, sign: list, purity: list, slot: list[int],
+             sizes: list[int], n_features: int) -> FlatTrees:
     """FlatTrees of trees given node by node in depth-first pre-order, left
-    subtree first: each node's feature and threshold (-1 and NaN at a leaf)
-    and sign and purity (0 and NaN at an internal node), and each tree's
-    node count in sizes.
-
-    The slots follow from that order. The m-th internal node of a tree has
-    its children in slots 2m + 1 and 2m + 2: the left child is the next
-    node, and the right child the first later node at the parent's level,
-    where a node's level counts +1 per internal node and -1 per leaf before
-    it. The leaves come left to right, and fill the leaf-box table in that
-    order; the boxes are built with numpy, one ancestor level per step for
-    all leaves of all trees at once.
+    subtree first: each node's feature and threshold (-1 and NaN at a leaf),
+    sign and purity (0 and NaN at an internal node) and tree-local slot, and
+    each tree's node count in sizes. The walk gives the slots: the root's is
+    0, and the m-th internal node of a tree puts its children in slots
+    2m + 1 and 2m + 2, so the left child is the next node and the right one
+    sits in the slot after it. The leaves come left to right and fill the
+    leaf-box table in that order; the boxes are built with numpy, one
+    ancestor level per step for all leaves of all trees at once.
     """
-    feature, sizes = np.array(feature, dtype=np.int64), np.array(sizes, dtype=np.int64)
+    feature, slot, sizes = (np.array(a, dtype=np.int64) for a in (feature, slot, sizes))
     k, width = sizes.size, int(sizes.max(initial=1))
     is_inner = feature >= 0
-    step = np.where(is_inner, 1, -1)
-    by_level = np.argsort(np.cumsum(step) - step, kind="stable")
-    after = np.empty(feature.size, dtype=np.int64)  # the next node at the same level
-    after[by_level[:-1]] = by_level[1:]
-    node_tree = np.repeat(np.arange(k), sizes)
-    rank = np.cumsum(is_inner) - is_inner  # internal nodes before each node
-    rank -= rank[np.cumsum(sizes) - sizes][node_tree]  # ... within its tree
     inner = np.flatnonzero(is_inner)
-    slot = np.zeros(feature.size, dtype=np.int64)  # the roots stay in slot 0
-    slot[inner + 1] = 2 * rank[inner] + 1
-    slot[after[inner]] = 2 * rank[inner] + 2
-    padded = node_tree * width + slot  # each node's index tree * width + slot
+    padded = np.repeat(np.arange(k), sizes) * width + slot  # each node's index tree * width + slot
 
     feat, thr, fst, sgn, pur = (np.full(k * width, fill, dtype=type(fill))
                                 for fill in (-1, math.nan, 0, 0, math.nan))
@@ -473,7 +462,7 @@ def _compile(feature: list, threshold: list, sign: list, purity: list, sizes: li
 
     # the leaf-box table: walk every leaf up to its root, one level per step
     parent = np.full(k * width, -1)
-    parent[padded[inner + 1]] = parent[padded[after[inner]]] = padded[inner]
+    parent[padded[inner + 1]] = parent[padded[inner + 1] + 1] = padded[inner]
     lower = np.full((leaf.size, n_features), -np.inf)
     upper = np.full((leaf.size, n_features), np.inf)
     box, node, depth = np.arange(leaf.size), leaf, 0

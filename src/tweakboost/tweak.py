@@ -167,7 +167,8 @@ def distance(x, x_cand, schema: list[FeatureSchema], norm: str = "L2_std"):
 
     L2_std: sqrt(sum ((dx/sigma)^2)); L1_std: sum |dx|/sigma; L0: count of
     changed features. Constant features are excluded throughout. A distance
-    too large for a float is inf, without a numpy warning.
+    too large for a float is inf, without a numpy warning; an L2_std row
+    whose squares alone overflow is scaled by its largest |dx/sigma| first.
     """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
@@ -183,6 +184,11 @@ def distance(x, x_cand, schema: list[FeatureSchema], norm: str = "L2_std"):
         else:
             z = d / sigma
             out = np.abs(z).sum(axis=1) if norm == "L1_std" else np.sqrt((z**2).sum(axis=1))
+            big = np.isinf(out) & (norm == "L2_std")  # squares alone may overflow: sum z / max|z|
+            if big.any():  # every other row keeps the plain sum's bits
+                big &= np.isfinite(z).all(axis=1)
+                s = np.abs(z[big]).max(axis=1, keepdims=True)
+                out[big] = s[:, 0] * np.sqrt(((z[big] / s)**2).sum(axis=1))
     return float(out[0]) if b.ndim == 1 else out
 
 

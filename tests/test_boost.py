@@ -141,7 +141,7 @@ def test_train_tracks_trajectories_and_errors():
     np.testing.assert_allclose(e.trajectories.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(e.trajectories[0], 1 / 80)
     assert all(0 <= err < 0.5 for err in e.staged_errors)
-    assert len(e.alphas) == len(e.trees) == len(e.staged_errors) == e.k
+    assert len(e.alphas) == len(e.flat.to_trees()) == len(e.staged_errors) == e.k
     assert e.config == {"K": 10, "max_depth": 2, "seed": 0}
 
 
@@ -269,7 +269,7 @@ def test_ensemble_margins_equal_tree_order_sum(demo_model, deep_demo_model, demo
     # prefixes 100 and 37 (a block holds 65536 // upto rows)
     deep_rows = np.vstack([demo_ds.rows + shift for shift in (0.0, 0.05, -0.05)])
     for model, X in ((demo_model, demo_ds.rows[::4]), (deep_demo_model, deep_rows)):
-        votes = [np.array([predict_tree(t, x) for x in X]) for t in model.trees]
+        votes = [np.array([predict_tree(t, x) for x in X]) for t in model.flat.to_trees()]
         for upto in (None, 100, 37, 1):
             want = np.zeros(X.shape[0])
             for a, h in zip(model.alphas[:upto], votes[:upto]):
@@ -363,7 +363,7 @@ def test_flat_form_is_set_at_construction(tiny_ds):
     # trained and hand-built ensembles hold their flat form from construction
     for e in (train_adaboost(tiny_ds, K=3, max_depth=2), desk_ensemble([stump(1, 2.5, -1, 1)], [1.0])):
         assert isinstance(vars(e).get("flat"), FlatTrees)
-        assert "trees" not in vars(e)
+        assert not hasattr(e, "trees")  # no node-object view
 
 
 def test_model_from_dict_round_trips_trees():
@@ -371,13 +371,13 @@ def test_model_from_dict_round_trips_trees():
     ds = random_learnable_dataset(rng, 50, 3)
     t = fit_tree(ds, np.full(50, 0.02), max_depth=3)
     back = model_from_dict(model_to_dict(desk_ensemble([t], [1.0], n_features=3)))
-    assert back.trees == [t]
-    assert tree_to_dict(back.trees[0]) == tree_to_dict(t)
+    assert back.flat.to_trees() == [t]
+    assert tree_to_dict(back.flat.to_trees()[0]) == tree_to_dict(t)
 
 
 def test_model_from_dict_rejects_bad_nodes():
     d = model_to_dict(desk_ensemble([stump(1, 2.5, -1, 1)], [1.0]))
-    assert model_from_dict(d).trees == [stump(1, 2.5, -1, 1)]
+    assert model_from_dict(d).flat.to_trees() == [stump(1, 2.5, -1, 1)]
     good, root = d["trees"][0], stump(1, 2.5, -1, 1).root
     for key, value, message in BAD_NODES:
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -414,22 +414,23 @@ def test_a_loaded_model_is_compiled_as_its_trees_are(tmp_path):
     for e in desk_and_trained_ensembles():
         save_model(e, path)
         loaded = load_model(path)
-        assert "flat" in vars(loaded) and "trees" not in vars(loaded)
+        assert "flat" in vars(loaded) and not hasattr(loaded, "trees")
         for f in dataclasses.fields(FlatTrees):
             got, want = getattr(loaded.flat, f.name), getattr(e.flat, f.name)
             assert np.array_equal(got, want, equal_nan=np.asarray(want).dtype.kind == "f"), f.name
             assert np.asarray(got).dtype == np.asarray(want).dtype, f.name
         assert loaded.k == e.k
-        assert loaded.trees == e.trees
+        assert loaded.flat.to_trees() == e.flat.to_trees()
         assert json.dumps(model_to_dict(loaded)) == path.read_text()
 
 
 def test_flat_trees_write_the_json_form_the_node_objects_write():
     for e in desk_and_trained_ensembles():
-        assert json.dumps(list(e.flat.to_dicts())) == json.dumps([tree_to_dict(t) for t in e.trees])
+        assert json.dumps(list(e.flat.to_dicts())) == json.dumps([tree_to_dict(t)
+                                                                  for t in e.flat.to_trees()])
     for trees, alphas in desk_tree_lists():  # and as the nodes the ensemble was built from
         e = desk_ensemble(trees, alphas)
-        assert e.trees == trees
+        assert e.flat.to_trees() == trees
         assert json.dumps(list(e.flat.to_dicts())) == json.dumps([tree_to_dict(t) for t in trees])
 
 
@@ -476,8 +477,7 @@ def test_a_loaded_model_builds_node_objects_only_when_asked(tmp_path, monkeypatc
                      "--resolution", "5", "--out", str(tmp_path / "v.csv")]) == 0
     assert cli.main(["report-alphas", "--model", str(path), "--out", str(tmp_path / "a.csv")]) == 0
     assert calls == [] and flattened == []
-    assert e.trees is e.trees
-    assert calls == [e.flat]
+    assert not hasattr(e, "trees")
 
     # a hand-built ensemble compiles its node objects once, at construction
     trees = [stump(0, 0.5, -1, 1), leaf_tree(1), stump(1, 0.25, 1, -1)]
@@ -524,7 +524,8 @@ def test_trajectories_are_decoded_on_first_read_only(saved_models):
 @pytest.mark.parametrize("layout", ["indent", "sort_keys", "nested_copy", "nested_only"])
 def test_load_model_gives_what_the_full_parse_gives(saved_models, tmp_path, layout):
     # the splitter applies to save_model's layout only; re-dumped files
-    # either keep to it (sort_keys, a nested copy) or take the full parse
+    # either keep to it (sort_keys, a nested copy) or take the full parse,
+    # and in either case the block is checked on first read only
     for path, doc in saved_models:
         if layout.startswith("nested"):
             doc = {**doc, "config": {**doc["config"], "trajectories": doc["trajectories"]}}
@@ -541,7 +542,7 @@ def test_load_model_gives_what_the_full_parse_gives(saved_models, tmp_path, layo
             assert str(lazy.value) == str(full.value)
             continue
         got, want = load_model(redump), full_parse(redump)
-        assert ("trajectories" in vars(got)) == (layout == "indent")
+        assert "trajectories" not in vars(got)
         assert got.config == want.config
         assert np.array_equal(got.trajectories, want.trajectories)
         assert model_to_dict(got) == model_to_dict(want)
@@ -689,9 +690,10 @@ def test_load_model_fails_as_the_text_mode_parse_fails(saved_models, tmp_path, c
 
 @pytest.mark.parametrize("case", ["crlf_end", "crlf_block", "non_ascii"])
 def test_load_model_reads_what_the_text_mode_parse_reads(saved_models, tmp_path, case):
-    # a non-ASCII file takes the full parse; CR LF, at the end or in the block, keeps it deferred
+    # a non-ASCII file takes the full parse; CR LF, at the end or in the block, keeps the
+    # block undecoded; in every case it is checked on first read only
     path = tmp_path / "m.json"
     path.write_bytes(model_bytes_as(saved_models, case))
     got, want = load_model(path), full_parse(path)
-    assert ("trajectories" in vars(got)) == (case == "non_ascii")
+    assert "trajectories" not in vars(got)
     assert model_to_dict(got) == model_to_dict(want)

@@ -378,8 +378,8 @@ def test_flat_layout_pairs_children_and_parks_leaves():
 
 def test_leaf_box_table_matches_enumerate_paths(demo_model, deep_demo_model):
     for model in (demo_model, deep_demo_model):
-        flat = model.flat
-        for k, t in enumerate(model.trees):
+        flat, trees = model.flat, model.flat.to_trees()
+        for k, t in enumerate(trees):
             for sign in (-1, 1):
                 rows = np.flatnonzero((flat.tree == k) & (flat.leaf_sign == sign))
                 paths = enumerate_paths(t, sign, tree_index=k)
@@ -391,7 +391,7 @@ def test_leaf_box_table_matches_enumerate_paths(demo_model, deep_demo_model):
                     assert np.array_equal(flat.upper[r], box.upper)
                     assert flat.feasible[r] == box.feasible
         assert np.array_equal(flat.tree, np.sort(flat.tree))  # tree order
-        assert flat.depth == max(t.depth for t in model.trees)
+        assert flat.depth == max(t.depth for t in trees)
 
 
 # -------------------------------------------------- path enumeration
@@ -508,3 +508,84 @@ def test_every_instance_lands_on_exactly_one_path(seed):
     ]
     assert len(hits) == 1
     assert hits[0].leaf_sign == predict_tree(t, x)
+
+
+# thresholds drawn from few values, so that paths repeat and contradict them,
+# and row values that sit on them as well as between them
+CUTS = [-1.0, 0.0, 0.5, 2.0]
+VALUES = CUTS + [-2.0, -0.5, 0.25, 1.0, 3.0]
+
+
+@st.composite
+def node_trees(draw, n_features: int, max_depth: int = 12):
+    """A random node tree of depth at most max_depth: a spine whose every
+    level goes left or right (so long left chains, long right chains and
+    zigzags), with a leaf or a small random subtree hanging off each spine
+    node; a bare leaf when the spine is empty."""
+
+    def leaf():
+        return Leaf(draw(st.sampled_from([-1, 1])), draw(st.sampled_from([0.5, 0.75, 1.0])))
+
+    def bushy(depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return leaf()
+        return Internal(draw(st.integers(0, n_features - 1)), draw(st.sampled_from(CUTS)),
+                        bushy(depth - 1), bushy(depth - 1))
+
+    def spine(turns):
+        if not turns:
+            return leaf()
+        f, t = draw(st.integers(0, n_features - 1)), draw(st.sampled_from(CUTS))
+        rest = spine(turns[1:])
+        side = leaf() if bare else bushy(min(2, len(turns) - 1))  # within the spine's depth
+        return Internal(f, t, rest, side) if turns[0] else Internal(f, t, side, rest)
+
+    length = draw(st.integers(0, max_depth))
+    turns = draw(st.sampled_from([[True] * length, [False] * length,  # left and right chains
+                                  [j % 2 == 0 for j in range(length)]])
+                 | st.lists(st.booleans(), min_size=length, max_size=length))
+    bare = draw(st.booleans())  # a plain chain: a leaf off every spine node
+    root = spine(turns)
+    depth, n_leaves = tree_shape(root)
+    assert depth <= max_depth
+    return Tree(root, depth, n_leaves)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_features=st.integers(1, 3))
+def test_walk_slots_compile_every_tree_shape(data, n_features):
+    trees = data.draw(st.lists(node_trees(n_features), min_size=1, max_size=4))
+    X = np.array(data.draw(st.lists(st.lists(st.sampled_from(VALUES), min_size=n_features,
+                                             max_size=n_features), min_size=1, max_size=12)))
+    flat = flatten(trees, n_features)
+    assert flat.to_trees() == trees
+    assert flat.depth == max(t.depth for t in trees)
+
+    # routing: the reference walk, values on the thresholds included
+    assert flat.signs(X).tolist() == [[predict_tree(t, x) for x in X] for t in trees]
+
+    # the leaf-box table: enumerate_paths and path_to_box, leaf by leaf
+    for k, t in enumerate(trees):
+        for sign in (-1, 1):
+            rows = np.flatnonzero((flat.tree == k) & (flat.leaf_sign == sign))
+            paths = enumerate_paths(t, sign, tree_index=k)
+            assert len(rows) == len(paths)
+            for r, p in zip(rows, paths):
+                box = path_to_box(p, n_features)
+                assert flat.path_index[r] == p.path_index
+                assert np.array_equal(flat.lower[r], box.lower)
+                assert np.array_equal(flat.upper[r], box.upper)
+                assert flat.feasible[r] == box.feasible
+    assert np.array_equal(flat.tree, np.sort(flat.tree))
+
+    # first: the m-th internal slot's children sit in the adjacent slots 2m + 1
+    # and 2m + 2, so each non-root slot of a tree is one internal node's child
+    for k, t in enumerate(trees):
+        inner = np.flatnonzero(flat.feature[k] >= 0)
+        m = inner.size
+        assert m == t.n_leaves - 1
+        children = np.concatenate([flat.first[k, inner], flat.first[k, inner] + 1])
+        assert np.array_equal(np.sort(flat.first[k, inner]), np.arange(1, 2 * m, 2))
+        assert np.array_equal(np.sort(children), np.arange(1, 2 * m + 1))
+        assert np.all(flat.first[k, inner] > inner)  # children come after their parent
+        assert np.all(flat.feature[k, 2 * m + 1:] == -1)  # the rest is padding

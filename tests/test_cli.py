@@ -690,8 +690,38 @@ def test_model_redumped_with_non_ascii_names_explains_alike(tmp_path, demo_model
         assert run(["explain", "--model", "model.json", "--demo", "--row", "3",
                     "--prune", "both:0.8,5,0.5", "--out", "explain.json"]) == 0
         outs.append((work / "explain.json").read_bytes())
-        assert ("trajectories" in vars(load_model("model.json"))) == (not ensure_ascii)
+        assert "trajectories" not in vars(load_model("model.json"))  # checked on first read
     assert outs[0] == outs[1]
+
+
+def test_corrupt_trajectory_block_fails_alike_in_every_layout(tmp_path, demo_model_path,
+                                                              capsys, monkeypatch):
+    # the block is checked on its first read whatever the file's layout: commands that
+    # never read it succeed alike, and one that reads it fails with the same one line
+    doc = json.loads(demo_model_path.read_text())
+    doc["schema"][0]["name"] = "é"
+    doc["trajectories"][1][0] += 0.5
+    layouts = {"save_model": {}, "indent": {"indent": 2}, "sort_keys": {"sort_keys": True},
+               "non_ascii": {"ensure_ascii": False}}
+    runs = []
+    for layout, options in layouts.items():
+        work = tmp_path / layout
+        work.mkdir()
+        (work / "model.json").write_bytes(json.dumps(doc, **options).encode())
+        monkeypatch.chdir(work)  # the explanation records the model's path
+        assert run(["explain", "--model", "model.json", "--demo", "--row", "3",
+                    "--prune", "none", "--out", "explain.json"]) == 0, layout
+        assert run(["report-alphas", "--model", "model.json", "--out", "alphas.csv"]) == 0, layout
+        block_free = capsys.readouterr()
+        assert run(["report-trajectories", "--model", "model.json", "--instances", "0",
+                    "--out-dir", "trajectories"]) == 2, layout
+        failed = capsys.readouterr()
+        assert failed.out == "" and not (work / "trajectories").exists(), layout
+        runs.append((block_free, (work / "explain.json").read_bytes(),
+                     (work / "alphas.csv").read_bytes(), failed.err))
+    assert runs[0][3] == ("tweakboost: data error: cannot read the model's trajectory block: "
+                          "every trajectory row must sum to 1\n")
+    assert all(r == runs[0] for r in runs[1:])
 
 
 def test_explain_rerun_output_is_byte_identical(tmp_path, demo_model_path):

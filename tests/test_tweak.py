@@ -34,10 +34,10 @@ from conftest import desk_ensemble, leaf_tree, make_schema, random_learnable_dat
 EPS_ABS = EpsilonPolicy(mode="absolute", value=0.1)
 
 
-def three_stump_ensemble():
+def three_stump_ensemble(**schema_range):
     return desk_ensemble(
         [stump(0, 2.5, -1, 1), stump(1, 1.0, -1, 1), stump(0, 4.0, 1, -1)],
-        [0.9, 0.5, 0.4],
+        [0.9, 0.5, 0.4], **schema_range,
     )
 
 
@@ -175,11 +175,23 @@ def test_distance_that_overflows_is_inf_without_a_warning():
     # pyproject turns a RuntimeWarning into an error
     schema = make_schema(2)  # sigma about 2.9
     x, far = np.array([-1e308, 0.0]), np.array([[1e308, 0.0], [-1e308, 1e300]])
-    # the difference overflows, then the square of a finite 1e300 / sigma
-    np.testing.assert_array_equal(distance(x, far, schema, "L2_std"), [np.inf, np.inf])
-    l1 = distance(x, far, schema, "L1_std")
-    assert l1[0] == np.inf and l1[1] == 1e300 / schema[1].stddev
+    # the difference overflows; the square of a finite 1e300 / sigma overflows
+    # too, but L2_std then sums the row over its largest term, so it fits
+    for norm in ("L2_std", "L1_std"):
+        got = distance(x, far, schema, norm)
+        assert got[0] == np.inf and got[1] == 1e300 / schema[1].stddev
+        assert distance(x, far[1], schema, norm) == got[1]
     np.testing.assert_array_equal(distance(x, far, schema, "L0"), [1.0, 1.0])
+    # sigma about 0.29: finite dx / sigma of about 1.7e308 whose L2 norm is beyond float
+    # range, and a dx of 1e308 whose dx / sigma is; both read inf
+    narrow, origin = make_schema(2, 0.0, 1.0), np.zeros(2)
+    beyond = np.array([[5e307, 5e307], [1e308, 0.0]])
+    assert np.all(np.isfinite(beyond[0] / [f.stddev for f in narrow]))
+    for norm in ("L2_std", "L1_std"):
+        np.testing.assert_array_equal(distance(origin, beyond, narrow, norm), [np.inf, np.inf])
+    # a row that does not overflow keeps the plain sum's bits
+    z = np.array([3.0, 4.0]) / [f.stddev for f in schema]
+    assert distance(np.zeros(2), [3.0, 4.0], schema, "L2_std") == np.sqrt((z**2).sum())
 
 
 def test_distance_rejects_unknown_norm():
@@ -189,10 +201,10 @@ def test_distance_rejects_unknown_norm():
 
 # -------------------------------------------------- candidate generation
 
-def tree_order_margin(e, z):
+def tree_order_margin(alphas, trees, z):
     """The vote summed tree by tree from 0.0 with the reference walk."""
     total = 0.0
-    for a, t in zip(e.alphas, e.trees):
+    for a, t in zip(alphas, trees):
         total += a * predict_tree(t, z)
     return total
 
@@ -202,11 +214,12 @@ def leaf_walk_oracle(e, x, eps_vec, k_prime=None):
     the first k_prime and apply the tweak rules directly. A lower bound that
     eps cannot move (lo + eps == lo) is crossed by one ulp instead. Returns
     [(k, j, values, full-ensemble verdict, L2_std distance)]."""
-    s = 1 if tree_order_margin(e, x) > 0 else -1
+    trees = e.flat.to_trees()
+    s = 1 if tree_order_margin(e.alphas, trees, x) > 0 else -1
     sigma = np.array([f.stddev for f in e.schema])
     used = sigma != 0.0
     out = []
-    for k, t in enumerate(e.trees[:k_prime]):
+    for k, t in enumerate(trees[:k_prime]):
         if predict_tree(t, x) != s:
             continue
         j = -1
@@ -231,7 +244,7 @@ def leaf_walk_oracle(e, x, eps_vec, k_prime=None):
                 else:
                     vals[f] = np.nextafter(lo, np.inf)
             if ok:
-                verdict = 1 if tree_order_margin(e, vals) > 0 else -1
+                verdict = 1 if tree_order_margin(e.alphas, trees, vals) > 0 else -1
                 z = (vals - x)[used] / sigma[used]
                 out.append((k, j, vals, verdict, float(np.sqrt((z**2).sum()))))
     return out
@@ -297,8 +310,9 @@ def test_candidates_route_to_opposite_leaf():
             continue
         x = ds.rows[int(rng.integers(0, 60))]
         s = predict_ensemble(e, x)[0]
+        trees = e.flat.to_trees()
         for c in generate_candidates(e, x, EpsilonPolicy()):
-            assert predict_tree(e.trees[c.tree_index], c.values) == -s
+            assert predict_tree(trees[c.tree_index], c.values) == -s
 
 
 def test_candidate_tweaks_are_minimal():
@@ -308,9 +322,9 @@ def test_candidate_tweaks_are_minimal():
     e = train_adaboost(ds, K=6, max_depth=3)
     x = ds.rows[0]
     s = predict_ensemble(e, x)[0]
-    checked = 0
+    checked, trees = 0, e.flat.to_trees()
     for c in generate_candidates(e, x, EpsilonPolicy()):
-        paths = enumerate_paths(e.trees[c.tree_index], -s, tree_index=c.tree_index)
+        paths = enumerate_paths(trees[c.tree_index], -s, tree_index=c.tree_index)
         path = paths[c.path_index]
         assert path.satisfied_by(c.values)
         for f in c.tweaked_features:
@@ -405,28 +419,40 @@ def test_explain_checks_label_provenance():
 
 
 def test_candidate_at_an_infinite_distance_is_dropped():
-    # the epsilon step puts every candidate 1e300 from x: its squares overflow under
-    # L2_std, but not the L1_std sum, and the L0 count is finite under any epsilon
+    # the epsilon step puts every candidate 1e300 from x: its squares overflow, but
+    # L2_std sums them over the largest, so every norm keeps every candidate
     e = three_stump_ensemble()
     x = np.array([2.0, 0.5])
     huge = EpsilonPolicy(mode="absolute", value=1e300)
     n = len(generate_candidates(e, x, huge, norm="L0"))
     assert n > 0
-    assert len(generate_candidates(e, x, huge, norm="L2_std")) == 0
-    l1 = generate_candidates(e, x, huge, norm="L1_std")
-    assert len(l1) == n and np.all(np.isfinite(l1.distance))
-    res = explain(e, x, huge)
-    assert isinstance(res, NotFound) and res.n_candidates_evaluated == 0
+    for norm in ("L2_std", "L1_std"):
+        cands = generate_candidates(e, x, huge, norm=norm)
+        assert len(cands) == n and np.all(np.isfinite(cands.distance))
+    # with sigma below 1, an epsilon of 1e308 puts every candidate beyond float
+    # range under L2_std and L1_std: each is dropped; the L0 count stays finite
+    narrow = three_stump_ensemble(lo=0.0, hi=1.0)
+    beyond = EpsilonPolicy(mode="absolute", value=1e308)
+    assert len(generate_candidates(narrow, x, beyond, norm="L0")) == n
+    for norm in ("L2_std", "L1_std"):
+        assert len(generate_candidates(narrow, x, beyond, norm=norm)) == 0
+        res = explain(narrow, x, beyond, norm=norm)
+        assert isinstance(res, NotFound) and res.n_candidates_evaluated == 0
 
 
 def test_oracle_never_returns_an_infinite_distance():
     e = desk_ensemble([stump(0, 5.0, -1, 1)], [1.0])
     x = np.array([1.0, 1.0])  # predicted -1; only feature 0 above 5 flips
     grid = [np.array([1.0, 1e300]), np.array([1.0])]
-    assert brute_force_oracle(e, x, grid) == NotFound(n_candidates_evaluated=1)
-    assert brute_force_oracle(e, x, grid, norm="L1_std").transformed[0] == 1e300
-    grid[0] = np.array([1.0, 6.0, 1e300])
-    res = brute_force_oracle(e, x, grid)
+    for norm in ("L2_std", "L1_std"):  # (1e300 / sigma)**2 overflows, the distance does not
+        assert brute_force_oracle(e, x, grid, norm=norm).transformed[0] == 1e300
+    # with sigma below 1, the point at 1e308 lies beyond float range under either norm
+    narrow = desk_ensemble([stump(0, 5.0, -1, 1)], [1.0], lo=0.0, hi=1.0)
+    grid[0] = np.array([1.0, 1e308])
+    for norm in ("L2_std", "L1_std"):
+        assert brute_force_oracle(narrow, x, grid, norm=norm) == NotFound(n_candidates_evaluated=1)
+    grid[0] = np.array([1.0, 6.0, 1e308])
+    res = brute_force_oracle(narrow, x, grid)
     assert res.transformed[0] == 6.0 and res.n_candidates_evaluated == 2
 
 
